@@ -62,7 +62,6 @@ from .growth import (
     generator_sum_condition,
     growth_indicator_estimate,
     limit_cone_sample,
-    poincare_abscissa_estimate,
     poincare_partial_sum,
     subadditivity_defect,
 )

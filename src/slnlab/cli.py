@@ -88,15 +88,17 @@ def main(argv=None):
                 gens = load_generators(args.generators)
                 epsilon = args.epsilon
                 seed = args.seed or 0
+                settings = {"exact_check": args.exact_check}
             else:
                 cfg = _load_config(args)
                 gens = load_generators(cfg.generators_path)
                 epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
                 seed = cfg.seed
+                settings = {"budget": cfg.sample_budget, "gap_tol": cfg.gap_tol, "exact_check": cfg.exact_check}
             if epsilon is None:
                 raise ConfigError("--epsilon is required for certify")
             try:
-                cert = cmd_certify(gens, epsilon, seed=seed, exact_check=args.exact_check)
+                cert = cmd_certify(gens, epsilon, seed=seed, **settings)
             except NotLoxodromic as e:
                 print(f"certify: fail: NotLoxodromic: {e}")
                 return 1

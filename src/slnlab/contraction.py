@@ -10,7 +10,6 @@ freeness independently by exhaustive rational-word enumeration at bounded length
 """
 
 from dataclasses import dataclass, field
-import itertools
 
 import numpy as np
 
@@ -28,9 +27,8 @@ from .flags import (
     OppositeFlag,
     attracting_flag,
     batch_act,
-    batch_distance_to_flag,
-    batch_margin_to_opposite,
-    batch_pair_distance,
+    batch_projector_distance,
+    batch_transversality_margin,
     flag_from_json,
     flag_to_json,
     repelling_flag,
@@ -217,11 +215,11 @@ def _sample_region(rng, y, epsilon, budget):
 
 def _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng):
     imgs = batch_act(g, frames)
-    image_radius = float(np.max(batch_distance_to_flag(imgs, x_plus)))
+    image_radius = float(np.max(batch_projector_distance(imgs, x_plus.frame)))
 
     partners = perturbed_partners(rng, frames, y_minus, epsilon)
-    base_d = batch_pair_distance(frames, partners)
-    img_d = batch_pair_distance(imgs, batch_act(g, partners))
+    base_d = batch_projector_distance(frames, partners)
+    img_d = batch_projector_distance(imgs, batch_act(g, partners))
     good = base_d > 1e-9
     ratios = img_d[good] / base_d[good]
 
@@ -229,8 +227,8 @@ def _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng):
     m = frames.shape[0]
     if m >= 2:
         half = m // 2
-        wd = batch_pair_distance(frames[:half], frames[half : 2 * half])
-        wi = batch_pair_distance(imgs[:half], imgs[half : 2 * half])
+        wd = batch_projector_distance(frames[:half], frames[half : 2 * half])
+        wi = batch_projector_distance(imgs[:half], imgs[half : 2 * half])
         ok = wd > 1e-9
         ratios = np.concatenate([ratios, wi[ok] / wd[ok]])
     lipschitz = float(np.max(ratios)) * LIPSCHITZ_SAFETY if ratios.size else np.inf
@@ -353,7 +351,7 @@ def shadow_of(cert: ContractionCertificate, r: float) -> Shadow:
 def shadow_membership(s: Shadow, f: Flag) -> bool:
     """f lies in the shadow iff pulling it back lands outside the r-thin region."""
     pulled = batch_act(s.element.inverse(), f.frame[None])
-    return bool(batch_margin_to_opposite(pulled, s.repelling)[0] >= s.r)
+    return bool(batch_transversality_margin(pulled, s.repelling.frame)[0] >= s.r)
 
 
 def _certify_at_eps_or_2eps(g, epsilon, budget, gap_tol, seed):
@@ -393,7 +391,7 @@ def shadow_inclusion_check(
     frames = sample_flags_outside(rng, eta_cert.repelling, 2 * epsilon, budget)
     pushed = batch_act(eta, frames)
     pulled = batch_act(gamma.inverse(), pushed)
-    margins = batch_margin_to_opposite(pulled, gamma_cert.repelling)
+    margins = batch_transversality_margin(pulled, gamma_cert.repelling.frame)
     return bool(np.all(margins >= 4 * epsilon))
 
 
@@ -427,9 +425,7 @@ def pingpong_certificate(
             if i == j:
                 continue
             sep[i, j] = transversality_margin(certs[i].attracting, certs[j].repelling).value
-            dis[i, j] = batch_pair_distance(
-                certs[i].attracting.frame[None], certs[j].attracting.frame[None]
-            )[0]
+            dis[i, j] = batch_projector_distance(certs[i].attracting.frame, certs[j].attracting.frame)
 
     ok = True
     for i, c in enumerate(certs):

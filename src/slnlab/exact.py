@@ -5,7 +5,6 @@ themselves, so a matrix tuple is directly usable as a canonical dict key.
 """
 
 from fractions import Fraction
-import math
 
 from .errors import SlnLabError
 
@@ -75,25 +74,3 @@ def mat_inv(a):
 
 def to_float(a):
     return [[float(x) for x in row] for row in a]
-
-
-def gram(a):
-    """a^T a over Fractions."""
-    n = len(a)
-    return tuple(
-        tuple(sum(a[k][i] * a[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
-def log_fraction(x):
-    """log of a positive Fraction, safe for huge numerators/denominators."""
-    if x <= 0:
-        raise ValueError("log of non-positive fraction")
-    p, q = x.numerator, x.denominator
-    return _log_int(p) - _log_int(q)
-
-
-def _log_int(p):
-    # math.log overflows float conversion beyond ~1e308; shift big ints down.
-    shift = max(0, p.bit_length() - 900)
-    return math.log(p >> shift) + shift * math.log(2)

@@ -79,20 +79,18 @@ def standard_opposite(n) -> OppositeFlag:
     return OppositeFlag(np.eye(n))
 
 
-def _qr_pos(m):
+def batch_orthonormalize(m, reverse=False):
+    """Q factors with positive R diagonals for a matrix or a stack (..., n, n).
+
+    Columns are orthonormalized in order, preserving the leading-column spans; with
+    reverse they are taken from the last column, preserving the trailing spans.
+    """
+    if reverse:
+        return batch_orthonormalize(m[..., ::-1])[..., ::-1]
     q, r = np.linalg.qr(m)
-    d = np.sign(np.diag(r))
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d[d == 0] = 1.0
-    return q * d, r * d[:, None]
-
-
-def _orthonormalize_front(m):
-    return _qr_pos(m)[0]
-
-
-def _orthonormalize_back(m):
-    # orthonormalize from the last column so the trailing spans are preserved
-    return _orthonormalize_front(m[:, ::-1])[:, ::-1]
+    return q * d[..., None, :]
 
 
 def _check_full_rank(m):
@@ -105,60 +103,72 @@ def flag_from_frame(m) -> Flag:
     """Orthonormalize the columns in order, preserving leading-column spans."""
     m = np.asarray(m, dtype=float)
     _check_full_rank(m)
-    return Flag(_orthonormalize_front(m))
+    return Flag(batch_orthonormalize(m))
 
 
 def opposite_from_frame(m) -> OppositeFlag:
     """Orthonormalize from the last column, preserving trailing-column spans."""
     m = np.asarray(m, dtype=float)
     _check_full_rank(m)
-    return OppositeFlag(_orthonormalize_back(m))
+    return OppositeFlag(batch_orthonormalize(m, reverse=True))
 
 
 def act_on_flag(g: GroupElement, f):
     """The linear action on either flag variety."""
     if isinstance(f, Flag):
-        return Flag(_orthonormalize_front(g.entries @ f.frame))
+        return Flag(batch_orthonormalize(g.entries @ f.frame))
     if isinstance(f, OppositeFlag):
-        return OppositeFlag(_orthonormalize_back(g.entries @ f.frame))
+        return OppositeFlag(batch_orthonormalize(g.entries @ f.frame, reverse=True))
     raise SlnLabError(f"cannot act on {type(f).__name__}")
 
 
-def _projector_metric(f1, f2, reverse):
-    n = f1.shape[0]
-    best = 0.0
+def batch_projector_distance(a, b, reverse=False):
+    """Projector metric between broadcast stacks of frames (..., n, n).
+
+    The max over levels of the operator norm of the projector difference, in [0, 1],
+    on the leading-column filtrations (flags) or, with reverse, on the trailing ones
+    (opposite flags).
+    """
+    n = a.shape[-1]
+    out = 0.0
     for i in range(1, n):
-        if reverse:
-            b1, b2 = f1[:, n - i :], f2[:, n - i :]
-        else:
-            b1, b2 = f1[:, :i], f2[:, :i]
-        diff = b1 @ b1.T - b2 @ b2.T
-        best = max(best, float(np.linalg.norm(diff, 2)))
-    return best
+        sa, sb = (a[..., n - i :], b[..., n - i :]) if reverse else (a[..., :i], b[..., :i])
+        diff = sa @ np.swapaxes(sa, -1, -2) - sb @ np.swapaxes(sb, -1, -2)
+        out = np.maximum(out, np.linalg.svd(diff, compute_uv=False)[..., 0])
+    return out
 
 
 def flag_distance(f1: Flag, f2: Flag) -> float:
     """max over levels of the operator norm of the projector difference; in [0, 1]."""
-    return _projector_metric(f1.frame, f2.frame, reverse=False)
+    return float(batch_projector_distance(f1.frame, f2.frame))
 
 
 def opposite_distance(y1: OppositeFlag, y2: OppositeFlag) -> float:
     """The projector metric on the trailing-column filtrations."""
-    return _projector_metric(y1.frame, y2.frame, reverse=True)
+    return float(batch_projector_distance(y1.frame, y2.frame, reverse=True))
 
 
-def _margin_value(xframe, yframe):
-    n = xframe.shape[0]
-    worst = np.inf
+def batch_transversality_margin(x, y):
+    """Margins of broadcast stacks of flag frames x against opposite-flag frames y.
+
+    The min over levels i of the smallest singular value of (first i columns of x,
+    last n-i columns of y), clipped at 0.
+    """
+    n = x.shape[-1]
+    shape = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = np.inf
     for i in range(1, n):
-        m = np.concatenate([xframe[:, :i], yframe[:, i:]], axis=1)
-        worst = min(worst, float(np.linalg.svd(m, compute_uv=False)[-1]))
-    return max(worst, 0.0)
+        m = np.concatenate(
+            [np.broadcast_to(x[..., :i], shape + (n, i)), np.broadcast_to(y[..., i:], shape + (n, n - i))],
+            axis=-1,
+        )
+        out = np.minimum(out, np.linalg.svd(m, compute_uv=False)[..., -1])
+    return np.maximum(out, 0.0)
 
 
 def transversality_margin(x: Flag, y: OppositeFlag) -> TransversalityMargin:
     """Smallest singular value over the concatenations (first i of x, last n-i of y)."""
-    return TransversalityMargin(_margin_value(x.frame, y.frame))
+    return TransversalityMargin(float(batch_transversality_margin(x.frame, y.frame)))
 
 
 def _sorted_eig(g: GroupElement, gap_tol):
@@ -175,13 +185,13 @@ def _sorted_eig(g: GroupElement, gap_tol):
 def attracting_flag(g: GroupElement, gap_tol: float = 1e-6) -> Flag:
     """Flag of the eigenvectors in decreasing-modulus order; fixed by the action."""
     _, v = _sorted_eig(g, gap_tol)
-    return Flag(_orthonormalize_front(v))
+    return Flag(batch_orthonormalize(v))
 
 
 def repelling_flag(g: GroupElement, gap_tol: float = 1e-6) -> OppositeFlag:
     """Opposite flag whose i-th subspace spans the i smallest-modulus eigenvectors."""
     _, v = _sorted_eig(g, gap_tol)
-    return OppositeFlag(_orthonormalize_back(v))
+    return OppositeFlag(batch_orthonormalize(v, reverse=True))
 
 
 def flag_to_json(f):
@@ -196,55 +206,6 @@ def flag_from_json(obj):
     return Flag(frame)
 
 
-# ---------------------------------------------------------------------------
-# Batched helpers over stacks of frames (shape (B, n, n)). These are the hot
-# paths of the samplers and certifiers; the public single-object operations
-# above stay the reference implementations.
-# ---------------------------------------------------------------------------
-
-
-def batch_orthonormalize_front(frames):
-    q, r = np.linalg.qr(frames)
-    d = np.sign(np.einsum("bii->bi", r))
-    d[d == 0] = 1.0
-    return q * d[:, None, :]
-
-
-def batch_orthonormalize_back(frames):
-    return batch_orthonormalize_front(frames[:, :, ::-1])[:, :, ::-1]
-
-
 def batch_act(g: GroupElement, frames):
-    return batch_orthonormalize_front(g.entries[None] @ frames)
-
-
-def batch_margin_to_opposite(frames, y: OppositeFlag):
-    """Transversality margins of a stack of flag frames against one opposite flag."""
-    n = y.n
-    out = np.full(frames.shape[0], np.inf)
-    for i in range(1, n):
-        m = np.concatenate([frames[:, :, :i], np.broadcast_to(y.frame[:, i:], (frames.shape[0], n, n - i))], axis=2)
-        out = np.minimum(out, np.linalg.svd(m, compute_uv=False)[:, -1])
-    return np.maximum(out, 0.0)
-
-
-def batch_distance_to_flag(frames, x: Flag):
-    """Projector-metric distances of a stack of flag frames to one flag."""
-    n = x.n
-    out = np.zeros(frames.shape[0])
-    for i in range(1, n):
-        p = frames[:, :, :i] @ np.swapaxes(frames[:, :, :i], 1, 2)
-        q = x.frame[:, :i] @ x.frame[:, :i].T
-        out = np.maximum(out, np.linalg.svd(p - q[None], compute_uv=False)[:, 0])
-    return out
-
-
-def batch_pair_distance(frames_a, frames_b):
-    """Projector-metric distances between paired stacks of flag frames."""
-    n = frames_a.shape[1]
-    out = np.zeros(frames_a.shape[0])
-    for i in range(1, n):
-        pa = frames_a[:, :, :i] @ np.swapaxes(frames_a[:, :, :i], 1, 2)
-        pb = frames_b[:, :, :i] @ np.swapaxes(frames_b[:, :, :i], 1, 2)
-        out = np.maximum(out, np.linalg.svd(pa - pb, compute_uv=False)[:, 0])
-    return out
+    """The action of g on a stack of flag frames."""
+    return batch_orthonormalize(g.entries[None] @ frames)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateFit, SlnLabError, TooFewRecords
-from .lie import CartanVector, cartan_projection, is_loxodromic, jordan_projection, min_root_value
+from .lie import CartanVector, cartan_projection, has_loxodromic_gaps, jordan_projection, min_root_value
 from .orbits import Cone
 
 
@@ -100,23 +100,6 @@ def estimate_delta(
     )
 
 
-def poincare_abscissa_estimate(records, mass: float = 1.0, s_hi: float = 10.0) -> float:
-    """Bisection for the s at which the truncated series drops to the given mass.
-
-    On finite balls this estimator inflates toward the counting bound; it is
-    exposed for comparison, regression is the default.
-    """
-    records = list(records)
-    lo, hi = 0.0, s_hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if poincare_partial_sum(records, mid) > mass:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def limit_cone_sample(records, floor: float = 5.0, gap_tol: float = 1e-6) -> LimitConeSample:
     """Unit Cartan directions above the norm floor; Jordan directions tagged apart."""
     kdirs = []
@@ -124,10 +107,9 @@ def limit_cone_sample(records, floor: float = 5.0, gap_tol: float = 1e-6) -> Lim
     for r in records:
         if r.kappa.norm >= floor:
             kdirs.append(r.kappa.coords / r.kappa.norm)
-            if is_loxodromic(r.element, gap_tol):
-                lam = jordan_projection(r.element)
-                if lam.norm > 0:
-                    ldirs.append(lam.coords / lam.norm)
+            lam = jordan_projection(r.element)
+            if has_loxodromic_gaps(lam, gap_tol) and lam.norm > 0:
+                ldirs.append(lam.coords / lam.norm)
     n = records[0].element.n if records else 0
     return LimitConeSample(
         kappa_directions=np.array(kdirs).reshape(-1, n) if kdirs else np.empty((0, n)),
@@ -146,10 +128,11 @@ def growth_indicator_estimate(records, v: CartanVector, angles, bins: float = 0.
     if min_root_value(v) <= 0:
         raise SlnLabError("direction must be interior to the chamber")
     records = list(records)
+    kappas = np.array([r.kappa.coords for r in records], dtype=float).reshape(len(records), v.coords.size)
     out = []
     for ang in angles:
         cone = Cone(axis=v, half_angle=float(ang))
-        inside = [r for r in records if cone.contains(r.kappa)]
+        inside = [r for r, ok in zip(records, cone.contains_many(kappas)) if ok]
         try:
             rep = estimate_delta(inside, bins=bins)
             out.append(ConeGrowth(cone=cone, tau_hat=rep.delta_hat, sample_size=len(inside)))

@@ -8,8 +8,7 @@ singular-value spreads far beyond 1/eps), the affected operation transparently
 recomputes through mpmath at adaptive precision.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -127,8 +126,8 @@ def _chamber(logs):
     return CartanVector(v - v.mean())
 
 
-def _mp_matrix(g, dps):
-    mp.dps = dps
+def _mp_matrix(g):
+    """g at the working precision; callers set it with mp.workdps, never mp.dps."""
     if g.exact is not None:
         return mp.matrix(
             [[mp.mpf(x.numerator) / mp.mpf(x.denominator) for x in row] for row in g.exact]
@@ -152,21 +151,28 @@ def cartan_projection(g: GroupElement) -> CartanVector:
     if svals[-1] <= 0.0 and g.exact is None:
         raise SingularMatrix("numerical rank < n")
     if _needs_extended(svals) and g.exact is not None:
-        M = _mp_matrix(g, _adaptive_dps(svals[0], g.n))
-        svals_mp = mp.svd_r(M, compute_uv=False)
-        return _chamber([float(mp.log(x)) for x in svals_mp])
+        with mp.workdps(_adaptive_dps(svals[0], g.n)):
+            svals_mp = mp.svd_r(_mp_matrix(g), compute_uv=False)
+            return _chamber([float(mp.log(x)) for x in svals_mp])
     return _chamber(np.log(svals))
+
+
+def svd_special(m):
+    """SVD u, s, vt of a matrix or a stack (..., n, n) with u and vt in SO(n).
+
+    For unimodular input det(u) det(vt) = 1, so flipping the last column of u and
+    the last row of vt together keeps the product.
+    """
+    u, s, vt = np.linalg.svd(m)
+    flip = np.where(np.linalg.det(u) < 0, -1.0, 1.0)
+    u[..., :, -1] *= flip[..., None]
+    vt[..., -1, :] *= flip[..., None]
+    return u, s, vt
 
 
 def kak_decomposition(g: GroupElement) -> KAKDecomposition:
     """g = k exp(a) l with k, l special orthogonal and a the Cartan projection."""
-    u, s, vt = np.linalg.svd(g.entries)
-    if np.linalg.det(u) < 0:
-        # det(u)*det(vt) = sign(det g) * 1 > 0, so both flips pair up
-        u = u.copy()
-        vt = vt.copy()
-        u[:, -1] = -u[:, -1]
-        vt[-1, :] = -vt[-1, :]
+    u, _, vt = svd_special(g.entries)
     return KAKDecomposition(k=u, a=cartan_projection(g), l=vt)
 
 
@@ -191,9 +197,9 @@ def jordan_projection(g: GroupElement) -> CartanVector:
     """Sorted-descending logs of the eigenvalue moduli of g."""
     moduli = _schur_moduli(g.entries)
     if _needs_extended(np.sort(moduli)[::-1]) and g.exact is not None:
-        M = _mp_matrix(g, _adaptive_dps(float(np.max(moduli)), g.n))
-        eigs, _ = mp.eig(M)
-        return _chamber([float(mp.log(abs(x))) for x in eigs])
+        with mp.workdps(_adaptive_dps(float(np.max(moduli)), g.n)):
+            eigs, _ = mp.eig(_mp_matrix(g))
+            return _chamber([float(mp.log(abs(x))) for x in eigs])
     if np.any(moduli <= 0.0):
         raise SingularMatrix("zero eigenvalue modulus")
     return _chamber(np.log(moduli))
@@ -236,16 +242,15 @@ def _iwasawa_extended(g, frame):
     # log R_ii = (log det G_i - log det G_{i-1}) / 2 over the Gram matrix G of g @ frame
     n = g.n
     scale = float(np.max(np.abs(g.entries)))
-    M = _mp_matrix(g, _adaptive_dps(scale, n) + 20) * mp.matrix(
-        [[mp.mpf(float(x)) for x in row] for row in frame]
-    )
-    G = M.T * M
-    out = []
-    prev = mp.mpf(1)
-    for i in range(1, n + 1):
-        d = mp.det(G[:i, :i])
-        out.append(0.5 * float(mp.log(d) - mp.log(prev)))
-        prev = d
+    with mp.workdps(_adaptive_dps(scale, n) + 20):
+        M = _mp_matrix(g) * mp.matrix([[mp.mpf(float(x)) for x in row] for row in frame])
+        G = M.T * M
+        out = []
+        prev = mp.mpf(1)
+        for i in range(1, n + 1):
+            d = mp.det(G[:i, :i])
+            out.append(0.5 * float(mp.log(d) - mp.log(prev)))
+            prev = d
     b = np.array(out)
     return b - b.mean()
 
@@ -257,9 +262,13 @@ def symmetric_space_distance(g: GroupElement, h: GroupElement) -> float:
 
 def is_loxodromic(g: GroupElement, gap_tol: float = 1e-6) -> bool:
     """True iff all consecutive eigenvalue-moduli gaps exceed gap_tol."""
+    return has_loxodromic_gaps(jordan_projection(g), gap_tol)
+
+
+def has_loxodromic_gaps(lam: CartanVector, gap_tol: float) -> bool:
+    """The test of is_loxodromic on a Jordan projection already computed."""
     if gap_tol <= 0:
         raise SlnLabError("gap_tol must be positive")
-    lam = jordan_projection(g)
     return bool(np.all(-np.diff(lam.coords) > gap_tol))
 
 
@@ -273,18 +282,18 @@ def cartan_of_power(g: GroupElement, m: int) -> CartanVector:
         raise SlnLabError("power must be >= 1")
     top = cartan_projection(g).coords[0]
     spread_digits = m * g.n * max(top, 0.1) / math.log(10)
-    M = _mp_matrix(g, 40 + int(1.2 * spread_digits))
-    P = mp.eye(g.n)
-    base = M
-    e = m
-    while e:
-        if e & 1:
-            P = P * base
-        e >>= 1
-        if e:
-            base = base * base
-    svals = mp.svd_r(P, compute_uv=False)
-    return _chamber([float(mp.log(x)) for x in svals])
+    with mp.workdps(40 + int(1.2 * spread_digits)):
+        P = mp.eye(g.n)
+        base = _mp_matrix(g)
+        e = m
+        while e:
+            if e & 1:
+                P = P * base
+            e >>= 1
+            if e:
+                base = base * base
+        svals = mp.svd_r(P, compute_uv=False)
+        return _chamber([float(mp.log(x)) for x in svals])
 
 
 def random_unimodular(rng, n, cond_cap=1e4):

@@ -14,14 +14,17 @@ import numpy as np
 
 from . import exact
 from .errors import BudgetExceeded, DedupUnavailable, SlnLabError
-from .flags import (
-    Flag,
-    OppositeFlag,
-    batch_distance_to_flag,
-    batch_margin_to_opposite,
-    transversality_margin,
+from .flags import Flag, OppositeFlag, batch_projector_distance, transversality_margin
+from .lie import (
+    _RANGE_GUARD,
+    CartanVector,
+    GroupElement,
+    KAKDecomposition,
+    cartan_projection,
+    has_loxodromic_gaps,
+    jordan_projection,
+    svd_special,
 )
-from .lie import CartanVector, GroupElement, KAKDecomposition, jordan_projection, is_loxodromic
 from .symshadow import shadows_certified_disjoint
 
 
@@ -42,17 +45,14 @@ class Cone:
             raise SlnLabError("cone axis must be interior (all simple roots positive)")
 
     def contains(self, v) -> bool:
-        c = np.asarray(v.coords if isinstance(v, CartanVector) else v, dtype=float)
-        nv = np.linalg.norm(c)
-        if nv == 0 or np.any(np.diff(c) > 1e-12):
-            return False
-        cosang = float(np.dot(c, self.axis.coords) / nv)
-        return math.acos(min(1.0, max(-1.0, cosang))) < self.half_angle
+        c = v.coords if isinstance(v, CartanVector) else v
+        return bool(self.contains_many(np.asarray(c, dtype=float)[None])[0])
 
     def contains_many(self, kappas):
+        """Row-wise membership of an (N, n) array; rows outside the chamber are out."""
         k = np.asarray(kappas, dtype=float)
         norms = np.linalg.norm(k, axis=1)
-        ok = norms > 0
+        ok = (norms > 0) & ~np.any(np.diff(k, axis=1) > 1e-12, axis=1)
         cos = np.zeros(len(k))
         cos[ok] = k[ok] @ self.axis.coords / norms[ok]
         ang = np.arccos(np.clip(cos, -1.0, 1.0))
@@ -117,14 +117,6 @@ def _letter_matrices(generators, include_inverses):
         if include_inverses:
             letters[-i] = g.inverse()
     return letters
-
-
-def _dedup_key(policy, element):
-    if policy == "exact":
-        return element.exact
-    if policy == "float":
-        return np.round(element.entries, 9).tobytes()
-    return None
 
 
 def enumerate_ball(
@@ -214,35 +206,15 @@ def enumerate_ball(
     return _decompose_records(out_words, elements)
 
 
-def rebuild_exact_element(generators, word):
-    """Exact rational matrix of a word, multiplied out from exact generators."""
-    if any(g.exact is None for g in generators):
-        raise SlnLabError("generators lack exact entries")
-    gens = {i + 1: g for i, g in enumerate(generators)}
-    acc = exact.identity(generators[0].n)
-    for letter in word:
-        g = gens[abs(letter)]
-        ex = g.exact if letter > 0 else exact.mat_inv(g.exact)
-        acc = exact.mat_mul(acc, ex)
-    return GroupElement(np.array(exact.to_float(acc)), exact=acc, validate=False)
-
-
 def _decompose_records(words, elements):
     if not words:
         return []
-    mats = np.stack([e.entries for e in elements])
-    u, s, vt = np.linalg.svd(mats)
-    # normalize both orthogonal factors into SO(n)
-    negdet = np.linalg.det(u) < 0
-    u[negdet, :, -1] = -u[negdet, :, -1]
-    vt[negdet, -1, :] = -vt[negdet, -1, :]
+    u, s, vt = svd_special(np.stack([e.entries for e in elements]))
     s = np.maximum(s, np.finfo(float).tiny)
     logs = np.log(s)
     logs = logs - logs.mean(axis=1, keepdims=True)
     # beyond float64's singular-value range the bulk logs are noise; recompute
     # the chamber vector at extended precision where exact entries allow it
-    from .lie import _RANGE_GUARD, cartan_projection
-
     needs_upgrade = s[:, -1] < s[:, 0] * _RANGE_GUARD
     records = []
     for i, (w, e) in enumerate(zip(words, elements)):
@@ -264,16 +236,6 @@ def _decompose_records(words, elements):
     return records
 
 
-def _batch_distance_to_opposite(frames, y: OppositeFlag):
-    n = y.n
-    out = np.zeros(frames.shape[0])
-    for i in range(1, n):
-        p = frames[:, :, n - i :] @ np.swapaxes(frames[:, :, n - i :], 1, 2)
-        q = y.frame[:, n - i :] @ y.frame[:, n - i :].T
-        out = np.maximum(out, np.linalg.svd(p - q[None], compute_uv=False)[:, 0])
-    return out
-
-
 def filter_gamma_set(records, spec: FilterSpec):
     """Keep records inside the cone and norm window whose boundary data sit within
     epsilon of the anchors."""
@@ -290,37 +252,27 @@ def filter_gamma_set(records, spec: FilterSpec):
         return []
     kframes = np.stack([records[i].k_flag.frame for i in idx])
     lframes = np.stack([records[i].l_opposite.frame for i in idx])
-    dx = batch_distance_to_flag(kframes, spec.x)
-    dy = _batch_distance_to_opposite(lframes, spec.y)
+    dx = batch_projector_distance(kframes, spec.x.frame)
+    dy = batch_projector_distance(lframes, spec.y.frame, reverse=True)
     final = idx[(dx < spec.epsilon) & (dy < spec.epsilon)]
     return [records[i] for i in final]
 
 
-def greedy_disjoint_pack(candidates, R: float, shadow_mode: str = "symmetric-space", forced=()):
-    """Greedy maximal subset with pairwise-disjoint shadows.
+def greedy_disjoint_pack(candidates, R: float, forced=()):
+    """Greedy maximal subset with pairwise-disjoint symmetric-space shadows.
 
     Candidates are visited by ascending Cartan norm (ties by word); a candidate
-    joins when its shadow is certifiably disjoint from every selected one. In
-    symmetric-space mode disjointness is certified by orbit-point separation
-    (unknown counts as overlapping); in flag mode by center separation > 2R.
+    joins when its shadow is certifiably disjoint from every selected one, by
+    orbit-point separation (unknown counts as overlapping).
     """
     if R <= 0:
         raise SlnLabError("R must be positive")
-    if shadow_mode not in ("symmetric-space", "flag"):
-        raise SlnLabError(f"unknown shadow mode {shadow_mode!r}")
     pool = sorted(candidates, key=lambda r: (r.kappa.norm, r.word))
     selected = list(forced)
-
-    def disjoint(a, b):
-        if shadow_mode == "symmetric-space":
-            return shadows_certified_disjoint(a.element, b.element, R)
-        d = batch_distance_to_flag(a.k_flag.frame[None], b.k_flag)[0]
-        return d > 2 * R
-
     for rec in pool:
         if any(rec.word == s.word for s in selected):
             continue
-        if all(disjoint(rec, s) for s in selected):
+        if all(shadows_certified_disjoint(rec.element, s.element, R) for s in selected):
             selected.append(rec)
     return selected
 
@@ -353,9 +305,10 @@ def zariski_heuristic(records, gap_tol: float = 1e-6, jordan_cap: int = 500) -> 
     for r in records:
         if len(lambdas) >= jordan_cap:
             break
-        if is_loxodromic(r.element, gap_tol):
+        lam = jordan_projection(r.element)
+        if has_loxodromic_gaps(lam, gap_tol):
             lox += 1
-            lambdas.append(jordan_projection(r.element).coords)
+            lambdas.append(lam.coords)
     jrank = int(np.linalg.matrix_rank(np.stack(lambdas), tol=1e-9)) if lambdas else 0
 
     consistent = span_dim == n * n and jrank >= n - 1 and lox > 0

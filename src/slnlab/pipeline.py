@@ -15,20 +15,15 @@ import os
 
 import numpy as np
 
-from .contraction import (
-    FreenessCertificate,
-    exact_freeness_crosscheck,
-    pingpong_certificate,
-)
+from .contraction import exact_freeness_crosscheck, pingpong_certificate
 from .errors import (
-    BudgetExceeded,
     ConfigError,
     NotLoxodromic,
     SearchExhausted,
     SlnLabError,
     TooFewRecords,
 )
-from .flags import attracting_flag, flag_from_json, flag_to_json, repelling_flag, transversality_margin
+from .flags import attracting_flag, flag_from_json, repelling_flag, transversality_margin
 from .growth import (
     anosov_slope,
     estimate_delta,
@@ -243,21 +238,6 @@ def cmd_analyze(config: PipelineConfig):
     return report
 
 
-def _positive_words(elements, depth):
-    """All positive words over the elements up to the given length, as elements."""
-    out = []
-    frontier = [(e, (i,)) for i, e in enumerate(elements)]
-    out.extend(frontier)
-    for _ in range(depth - 1):
-        nxt = []
-        for e, w in frontier:
-            for i, g in enumerate(elements):
-                nxt.append((e.matmul(g), w + (i,)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def cmd_build_semigroup(config: PipelineConfig):
     """Search annuli for a certified free generating set; honest failure otherwise.
 
@@ -305,9 +285,7 @@ def cmd_build_semigroup(config: PipelineConfig):
         ]
         round_info["candidates"] = len(candidates)
         pinned = [r for r in candidates if r.word in set(map(tuple, config.pinned_words))]
-        packed = greedy_disjoint_pack(
-            candidates, config.shadow_radius, "symmetric-space", forced=pinned[:2]
-        )
+        packed = greedy_disjoint_pack(candidates, config.shadow_radius, forced=pinned[:2])
         round_info["packed"] = len(packed)
         if len(packed) >= 2:
             sum_val = generator_sum_condition([r.kappa.norm for r in packed], config.target_delta)
@@ -380,12 +358,12 @@ def cmd_build_semigroup(config: PipelineConfig):
     depth = 1
     while len(elements) ** (depth + 1) <= 256 and depth < 4:
         depth += 1
-    words = _positive_words(elements, depth)
-    pair_pool = [e for e, _ in words[:16]]
+    words = sorted(enumerate_ball(elements, depth, dedup="none"), key=lambda r: (len(r.word), r.word))
+    pair_pool = [r.element for r in words[:16]]
     max_def, mean_def, _hist = subadditivity_defect(
         None, pairs=[(a, b) for a in pair_pool for b in pair_pool]
     )
-    slope = anosov_slope([_RecordView(w, e) for e, w in words])
+    slope = anosov_slope(words)
     zar = zariski_heuristic(records)
 
     checklist = {
@@ -408,21 +386,6 @@ def cmd_build_semigroup(config: PipelineConfig):
     _write_json(os.path.join(config.output_dir, "report.json"), report)
     _write_json(os.path.join(config.output_dir, "certificate.json"), cert.to_dict())
     return cert, report
-
-
-class _RecordView:
-    """Minimal record shim for estimators that only need kappa and word length."""
-
-    def __init__(self, word, element):
-        from .lie import cartan_projection
-
-        self.word = word
-        self.element = element
-        self.kappa = cartan_projection(element)
-
-    @property
-    def word_length(self):
-        return len(self.word)
 
 
 def cmd_certify(generators, epsilon, budget=4000, gap_tol=1e-6, seed=0, exact_check=None):

@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 
 from .errors import InsufficientBudget
-from .flags import batch_margin_to_opposite, batch_orthonormalize_front
+from .flags import batch_orthonormalize, batch_transversality_margin
 
 _MAX_BATCHES = 400
 
@@ -29,7 +29,7 @@ def rng_for(g, global_seed=0):
 
 def haar_frames(rng, n, count):
     """Haar-distributed orthogonal frames via sign-fixed QR of Gaussians."""
-    return batch_orthonormalize_front(rng.standard_normal((count, n, n)))
+    return batch_orthonormalize(rng.standard_normal((count, n, n)))
 
 
 def sample_flags_outside(rng, y, eps, count, max_batches=_MAX_BATCHES):
@@ -43,7 +43,7 @@ def sample_flags_outside(rng, y, eps, count, max_batches=_MAX_BATCHES):
     have = 0
     for _ in range(max_batches):
         batch = haar_frames(rng, n, max(count, 64))
-        margins = batch_margin_to_opposite(batch, y)
+        margins = batch_transversality_margin(batch, y.frame)
         good = batch[margins >= eps]
         if good.shape[0]:
             kept.append(good)
@@ -76,8 +76,8 @@ def band_flags_near(rng, y, eps, count, hi_factor=1.1, max_batches=_MAX_BATCHES)
             break
         t = 0.5 * (t_lo + t_hi)
         blend = (1.0 - t[active, None, None]) * starts[active] + t[active, None, None] * target
-        frames = batch_orthonormalize_front(blend)
-        margins = batch_margin_to_opposite(frames, y)
+        frames = batch_orthonormalize(blend)
+        margins = batch_transversality_margin(frames, y.frame)
         idx = np.nonzero(active)[0]
         below = margins < lo_m
         above = margins > hi_m
@@ -90,7 +90,7 @@ def band_flags_near(rng, y, eps, count, hi_factor=1.1, max_batches=_MAX_BATCHES)
         # leftover samples keep their last admissible iterate (margin > hi_m)
         rest = np.nonzero(~landed)[0]
         blend = (1.0 - t_lo[rest, None, None]) * starts[rest] + t_lo[rest, None, None] * target
-        out[rest] = batch_orthonormalize_front(blend)
+        out[rest] = batch_orthonormalize(blend)
     return out
 
 
@@ -102,8 +102,8 @@ def perturbed_partners(rng, frames, y, eps, scale=1e-4, tries=8):
     step = scale
     for _ in range(tries):
         noise = rng.standard_normal((todo.size, n, n)) * step
-        cand = batch_orthonormalize_front(frames[todo] + noise)
-        margins = batch_margin_to_opposite(cand, y)
+        cand = batch_orthonormalize(frames[todo] + noise)
+        margins = batch_transversality_margin(cand, y.frame)
         ok = margins >= eps
         partners[todo[ok]] = cand[ok]
         todo = todo[~ok]

@@ -13,9 +13,9 @@ import numpy as np
 import scipy.optimize
 
 from .errors import MembershipUnverified, SlnLabError
-from .lie import CartanVector, GroupElement, cartan_projection
+from .lie import CartanVector, GroupElement, cartan_projection, kak_decomposition, symmetric_space_distance
 from .sampling import haar_frames
-from .flags import Flag, batch_act, batch_margin_to_opposite
+from .flags import Flag, batch_act, batch_orthonormalize, batch_transversality_margin
 
 _BIG = 1e18
 
@@ -111,12 +111,7 @@ def sym_shadow_membership(
     """
     base_inv = query.base.inverse()
     target = base_inv.matmul(query.target)
-    frame = (base_inv.entries @ f.frame)
-    # re-orthonormalize after translation
-    q, r = np.linalg.qr(frame)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1
-    frame = q * d
+    frame = batch_orthonormalize(base_inv.entries @ f.frame)
 
     n = target.n
     objective = _objective_factory(frame, target.entries)
@@ -177,7 +172,7 @@ def overlap_distance_bound(
     q1 = SymShadowQuery(GroupElement.identity(n), g1, R)
     q2 = SymShadowQuery(GroupElement.identity(n), g2, R)
 
-    probes = [Flag(u) for u in (kak_flag(g1), kak_flag(g2))]
+    probes = [Flag(kak_decomposition(g).k) for g in (g1, g2)]
     rng = np.random.default_rng(seed)
     if probe_budget > 2:
         probes += [Flag(fr) for fr in haar_frames(rng, n, probe_budget - 2)]
@@ -189,28 +184,24 @@ def overlap_distance_bound(
             break
     if not intersects:
         return False, True
-    lhs = cartan_projection(g1.inverse().matmul(g2)).norm
-    rhs = 4 * R + float(
-        np.linalg.norm(cartan_projection(g1).coords - cartan_projection(g2).coords)
-    )
+    lhs, rhs = _orbit_separation(g1, g2, R)
     return True, lhs <= rhs + 1e-6
 
 
-def kak_flag(g: GroupElement):
-    u, _, _ = np.linalg.svd(g.entries)
-    if np.linalg.det(u) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    return u
+def _orbit_separation(g1, g2, R):
+    """(d(g1 o, g2 o), 4R + |kappa(g1) - kappa(g2)|): shadows of B_R(g1 o) and
+    B_R(g2 o) that share a flag force the left side down to the right."""
+    lhs = symmetric_space_distance(g1, g2)
+    rhs = 4 * R + float(
+        np.linalg.norm(cartan_projection(g1).coords - cartan_projection(g2).coords)
+    )
+    return lhs, rhs
 
 
 def shadows_certified_disjoint(g1: GroupElement, g2: GroupElement, R: float) -> bool:
     """Sufficient disjointness: orbit points farther apart than 4R plus the Cartan
     difference cannot share a shadow point. Unknown counts as overlapping."""
-    lhs = cartan_projection(g1.inverse().matmul(g2)).norm
-    rhs = 4 * R + float(
-        np.linalg.norm(cartan_projection(g1).coords - cartan_projection(g2).coords)
-    )
+    lhs, rhs = _orbit_separation(g1, g2, R)
     return lhs > rhs
 
 
@@ -243,7 +234,7 @@ def flag_shadow_in_sym_shadow(
     tries = 0
     while len(frames) < probe_budget and tries < 200:
         batch = haar_frames(rng, g.n, max(probe_budget, 32))
-        margins = batch_margin_to_opposite(batch, cert.repelling)
+        margins = batch_transversality_margin(batch, cert.repelling.frame)
         frames.extend(batch[margins >= 2 * epsilon])
         tries += 1
     frames = np.stack(frames[:probe_budget])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from slnlab import (
     Flag,
@@ -20,7 +21,13 @@ from slnlab import (
     standard_opposite,
     transversality_margin,
 )
-from slnlab.flags import flag_from_json, flag_to_json
+from slnlab.flags import (
+    batch_projector_distance,
+    batch_transversality_margin,
+    flag_from_json,
+    flag_to_json,
+)
+from slnlab.sampling import haar_frames
 
 
 def diag(*vals):
@@ -201,6 +208,46 @@ class TestTransversalityMargin:
             assert abs(z1 - z2) <= 2.0 * math.sqrt(n) * flag_distance(x1, x2) + 1e-9
 
 
+class TestPrincipalAngleReference:
+    """The batched kernels against principal angles from scipy, at n = 3 and 4.
+
+    On level i the projector difference of two i-planes has operator norm the sine
+    of their largest principal angle; (first i of x, last n-i of y) has smallest
+    singular value sqrt(1 - cos) of the smallest angle between the two spans.
+    """
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_projector_metric(self, n, reverse):
+        rng = np.random.default_rng(40 + n)
+        a, b = haar_frames(rng, n, 40), haar_frames(rng, n, 40)
+        cols = [slice(n - i, None) if reverse else slice(0, i) for i in range(1, n)]
+        expected = np.array(
+            [max(math.sin(subspace_angles(fa[:, c], fb[:, c])[0]) for c in cols) for fa, fb in zip(a, b)]
+        )
+        assert np.allclose(batch_projector_distance(a, b, reverse=reverse), expected, atol=1e-12)
+        against_one = batch_projector_distance(a, b[0], reverse=reverse)
+        assert against_one[0] == batch_projector_distance(a[0], b[0], reverse=reverse)
+        single = opposite_distance if reverse else flag_distance
+        kind = OppositeFlag if reverse else Flag
+        for fa, fb, d in zip(a, b, expected):
+            assert single(kind(fa), kind(fb)) == pytest.approx(d, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_transversality_margin(self, n):
+        rng = np.random.default_rng(50 + n)
+        x, y = haar_frames(rng, n, 40), haar_frames(rng, n, 40)
+        expected = np.array(
+            [
+                min(math.sqrt(1.0 - math.cos(subspace_angles(fx[:, :i], fy[:, i:])[-1])) for i in range(1, n))
+                for fx, fy in zip(x, y)
+            ]
+        )
+        assert np.allclose(batch_transversality_margin(x, y), expected, atol=1e-9)
+        for fx, fy, m in zip(x, y, expected):
+            assert transversality_margin(Flag(fx), OppositeFlag(fy)).value == pytest.approx(m, abs=1e-9)
+
+
 class TestAttractingRepelling:
     def test_diagonal(self):
         g = diag(3.0, 1.0, 1 / 3.0)
@@ -243,9 +290,9 @@ class TestAttractingRepelling:
         ginv = g.inverse()
         w, v = np.linalg.eig(ginv.entries)
         order = np.argsort(np.abs(w))  # ascending modulus of g^-1 = descending of g
-        from slnlab.flags import _orthonormalize_back
+        from slnlab.flags import batch_orthonormalize
 
-        two_path = OppositeFlag(_orthonormalize_back(np.real(v[:, order])))
+        two_path = OppositeFlag(batch_orthonormalize(np.real(v[:, order]), reverse=True))
         assert opposite_distance(direct, two_path) < 1e-8
 
     def test_rotation_refused(self):

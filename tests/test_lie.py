@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from slnlab import (
     CartanVector,
@@ -251,6 +252,29 @@ class TestLoxodromic:
 
     def test_unipotent(self):
         assert not is_loxodromic(GroupElement.from_matrix([[1, 1], [0, 1]]), gap_tol=1e-8)
+
+
+class TestWorkingPrecision:
+    """The extended-precision paths leave mpmath's working precision as they found it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            cartan_projection,
+            jordan_projection,
+            lambda g: iwasawa_cocycle(g, standard_flag(2)),
+            lambda g: cartan_of_power(g, 8),
+        ],
+        ids=["cartan", "jordan", "iwasawa", "power"],
+    )
+    def test_dps_unchanged(self, call):
+        # s d^5 s^-1 for d = diag(148, 1/148): a spread far past float64's range
+        s = GroupElement.from_exact([["4/5", "-3/5"], ["3/5", "4/5"]])
+        d5 = GroupElement.from_exact([[148**5, 0], [0, "1/" + str(148**5)]])
+        g = s.matmul(d5).matmul(s.inverse())
+        with mp.workdps(21):
+            call(g)
+            assert mp.dps == 21
 
 
 class TestCartanDifferenceBounds:

@@ -107,6 +107,18 @@ class TestCertifyCommand:
         assert cert["verdict"] == "pass"
         assert cert["exact_crosscheck"]["collisions"] == 0
 
+    def test_config_settings_reach_the_certificate(self, tmp_path):
+        cfg_path = base_config(
+            tmp_path, STRONG_RATIONAL, epsilon=0.1, exact_check=8, budgets={"samples": 1000}
+        )
+        assert cli_main(["certify", "--config", cfg_path, "--out", str(tmp_path / "cert")]) == 0
+        cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
+        assert cert["exact_crosscheck"]["max_len"] == 8
+        assert [c["samples"] for c in cert["per_generator"]] == [1000, 1000]
+        # both generators have Jordan gap 2 log 148 ~ 10, short of this gap_tol
+        cfg_path = base_config(tmp_path, STRONG_RATIONAL, epsilon=0.1, gap_tol=20.0)
+        assert cli_main(["certify", "--config", cfg_path]) == 1
+
     def test_generator_with_its_square_fails(self, tmp_path, capsys):
         d = 148.0
         g = [[d, 0], [0, 1 / d]]
