@@ -1,4 +1,5 @@
-"""Byte-for-byte golden outputs: the three CLI commands and one SL(3) certificate.
+"""Byte-for-byte golden outputs: the three CLI commands at n = 2, analyze and
+build-semigroup at n = 3, and one SL(3) certificate.
 
 The files under tests/golden/ hold the outputs of small fixed runs, with the
 ``generated_at`` timestamp removed from each report. A refactor or speed-up must
@@ -26,6 +27,18 @@ SANOV_CONFIG = {
 }
 SL3_A = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]
 SL3_B = [[2, 0, 1], [1, 1, 1], [1, 0, 1]]
+SL3 = {"n": 3, "generators": [
+    {"matrix": m, "exact": [[str(x) for x in row] for row in m]} for m in (SL3_A, SL3_B)
+]}
+# n = 3: chamber norms, cone containment and the filter window off the n = 2 line
+SL3_CONFIG = {
+    "n": 3,
+    "target_delta": 0.05,
+    "epsilon": 0.07,
+    "radius": 4,
+    "seed": 42,
+    "budgets": {"samples": 1000},
+}
 
 
 def _write_json(path, obj):
@@ -46,10 +59,14 @@ def produce(out):
     os.makedirs(out, exist_ok=True)
     sanov_path = os.path.join(out, "sanov.json")
     strong_path = os.path.join(out, "strong.json")
+    sl3_path = os.path.join(out, "sl3.json")
     config_path = os.path.join(out, "config.json")
+    sl3_config_path = os.path.join(out, "sl3-config.json")
     _write_json(sanov_path, SANOV)
     _write_json(strong_path, STRONG_RATIONAL)
+    _write_json(sl3_path, SL3)
     _write_json(config_path, dict(SANOV_CONFIG, generators_path=sanov_path))
+    _write_json(sl3_config_path, dict(SL3_CONFIG, generators_path=sl3_path))
 
     codes = {
         "analyze": cli_main(["analyze", "--config", config_path, "--out", os.path.join(out, "analyze")]),
@@ -61,7 +78,9 @@ def produce(out):
              "--out", os.path.join(out, "certify")]
         ),
     }
-    for case in ("analyze", "build-semigroup"):
+    for cmd in ("analyze", "build-semigroup"):
+        codes[f"sl3-{cmd}"] = cli_main([cmd, "--config", sl3_config_path, "--out", os.path.join(out, "sl3", cmd)])
+    for case in ("analyze", "build-semigroup", "sl3/analyze", "sl3/build-semigroup"):
         path = os.path.join(out, case, "report.json")
         with open(path) as fh:
             report = json.load(fh)
@@ -73,7 +92,7 @@ def produce(out):
     os.makedirs(os.path.join(out, "sl3"), exist_ok=True)
     _write_json(os.path.join(out, "sl3", "certificate.json"), cert.to_dict())
 
-    for name in ("sanov.json", "strong.json", "config.json"):
+    for name in ("sanov.json", "strong.json", "sl3.json", "config.json", "sl3-config.json"):
         os.remove(os.path.join(out, name))
     _write_json(os.path.join(out, "exit_codes.json"), codes)
     return codes
