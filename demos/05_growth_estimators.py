@@ -46,8 +46,7 @@ dirs = np.unique(np.round(sample.kappa_directions, 3), axis=0)
 print(f"\nlimit-cone sample: {len(sample.kappa_directions)} directions, "
       f"{len(dirs)} distinct at 3 decimals (n=2 collapses them to the chamber ray)")
 
-mx, mean, _ = subadditivity_defect([r.element for r in ball if r.word_length <= 3],
-                                   pair_budget=300)
+mx, mean, _ = subadditivity_defect(ball[ball.lengths <= 3].elements(), pair_budget=300)
 print(f"\nsubadditivity defect over sampled short-word pairs: max {mx:.3f}, mean {mean:.3f}")
 
 C, c, ratio = anosov_slope(ball)

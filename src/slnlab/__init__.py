@@ -42,6 +42,7 @@ from .flags import (
     TransversalityMargin,
     act_on_flag,
     attracting_flag,
+    fixed_flags,
     flag_distance,
     flag_from_frame,
     opposite_distance,
@@ -85,6 +86,7 @@ from .lie import (
 from .orbits import (
     Cone,
     FilterSpec,
+    OrbitBall,
     OrbitRecord,
     ZariskiReport,
     barycentric_axis,

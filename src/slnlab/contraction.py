@@ -25,13 +25,12 @@ from .errors import (
 from .flags import (
     Flag,
     OppositeFlag,
-    attracting_flag,
     batch_act,
     batch_projector_distance,
     batch_transversality_margin,
+    fixed_flags,
     flag_from_json,
     flag_to_json,
-    repelling_flag,
     transversality_margin,
 )
 from .lie import GroupElement
@@ -253,8 +252,7 @@ def check_contracting(
     if budget < 1000:
         raise SlnLabError("budget must be >= 1000 samples")
 
-    x_plus = attracting_flag(g, gap_tol)
-    y_minus = repelling_flag(g, gap_tol)
+    x_plus, y_minus = fixed_flags(g, gap_tol)
     sep = transversality_margin(x_plus, y_minus).value
     margin_a = sep - 2 * epsilon
 
@@ -308,8 +306,7 @@ def contraction_criterion(
     if lipschitz > epsilon:
         return False, HypothesisViolated("lipschitz", f"bound {lipschitz:.6f} > eps")
 
-    xg = attracting_flag(g, gap_tol)
-    yg = repelling_flag(g, gap_tol)
+    xg, yg = fixed_flags(g, gap_tol)
     from .flags import flag_distance, opposite_distance  # local to avoid cycle noise
 
     d_attract = flag_distance(xg, x_plus)

@@ -35,13 +35,6 @@ class Flag:
     def n(self):
         return self.frame.shape[0]
 
-    @classmethod
-    def _trusted(cls, frame):
-        """Skip validation for frames produced by our own decompositions."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "frame", frame)
-        return obj
-
 
 @dataclass(frozen=True)
 class OppositeFlag:
@@ -53,12 +46,6 @@ class OppositeFlag:
     @property
     def n(self):
         return self.frame.shape[0]
-
-    @classmethod
-    def _trusted(cls, frame):
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "frame", frame)
-        return obj
 
 
 @dataclass(frozen=True)
@@ -171,27 +158,29 @@ def transversality_margin(x: Flag, y: OppositeFlag) -> TransversalityMargin:
     return TransversalityMargin(float(batch_transversality_margin(x.frame, y.frame)))
 
 
-def _sorted_eig(g: GroupElement, gap_tol):
-    """Eigenvectors as columns sorted by decreasing eigenvalue modulus."""
+def fixed_flags(g: GroupElement, gap_tol: float = 1e-6):
+    """Attracting flag and repelling opposite flag of g, from one eigen-decomposition.
+
+    The eigenvectors sorted by decreasing eigenvalue modulus span the attracting
+    flag from the first column and the repelling one from the last.
+    """
     if not is_loxodromic(g, gap_tol):
         raise NotLoxodromic()
     w, v = np.linalg.eig(g.entries)
     if np.max(np.abs(w.imag)) > 1e-8 * np.max(np.abs(w)):
         raise NotLoxodromic("complex eigenvalues despite moduli gaps")
-    order = np.argsort(-np.abs(w))
-    return np.real(w[order]), np.real(v[:, order])
+    v = np.real(v[:, np.argsort(-np.abs(w))])
+    return Flag(batch_orthonormalize(v)), OppositeFlag(batch_orthonormalize(v, reverse=True))
 
 
 def attracting_flag(g: GroupElement, gap_tol: float = 1e-6) -> Flag:
     """Flag of the eigenvectors in decreasing-modulus order; fixed by the action."""
-    _, v = _sorted_eig(g, gap_tol)
-    return Flag(batch_orthonormalize(v))
+    return fixed_flags(g, gap_tol)[0]
 
 
 def repelling_flag(g: GroupElement, gap_tol: float = 1e-6) -> OppositeFlag:
     """Opposite flag whose i-th subspace spans the i smallest-modulus eigenvectors."""
-    _, v = _sorted_eig(g, gap_tol)
-    return OppositeFlag(batch_orthonormalize(v, reverse=True))
+    return fixed_flags(g, gap_tol)[1]
 
 
 def flag_to_json(f):

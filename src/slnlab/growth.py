@@ -43,34 +43,29 @@ class LimitConeSample:
     empty: bool
 
 
-def poincare_partial_sum(records, s: float) -> float:
-    """Compensated sum of exp(-s * ||kappa||) over the records."""
+def poincare_partial_sum(ball, s: float) -> float:
+    """Compensated sum of exp(-s * ||kappa||) over the rows of a ball."""
     if s < 0:
         raise SlnLabError("s must be >= 0")
-    return math.fsum(math.exp(-s * r.kappa.norm) for r in records)
-
-
-def _norms(records):
-    return np.array([r.kappa.norm for r in records])
+    return math.fsum(math.exp(-s * x) for x in ball.norms)
 
 
 def estimate_delta(
-    records,
+    ball,
     bins: float = 0.5,
     window: tuple = (0.2, 0.2),
     min_records: int = 100,
 ) -> GrowthReport:
     """Fit the exponential growth rate of cumulative orbit counts.
 
-    Cumulative counts N(T) are tabulated on a grid of the given bin width and
-    log N(T) is regressed against T over a window that drops the stated fractions
-    of the T-range at both ends (small-T bins are lattice-noisy, large-T bins are
-    deflated by ball truncation).
+    Reads the ball's norms and word lengths. Cumulative counts N(T) are tabulated
+    on a grid of the given bin width and log N(T) is regressed against T over a
+    window that drops the stated fractions of the T-range at both ends (small-T
+    bins are lattice-noisy, large-T bins are deflated by ball truncation).
     """
-    records = list(records)
-    if len(records) < min_records:
-        raise TooFewRecords(f"{len(records)} records < floor {min_records}")
-    norms = np.sort(_norms(records))
+    if len(ball.norms) < min_records:
+        raise TooFewRecords(f"{len(ball.norms)} records < floor {min_records}")
+    norms = np.sort(ball.norms)
     t_lo, t_hi = norms[0], norms[-1]
     if t_hi - t_lo < bins:
         raise DegenerateFit("all records fall in one bin")
@@ -87,39 +82,35 @@ def estimate_delta(
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
 
-    by_radius = {}
-    for r in records:
-        by_radius[r.word_length] = by_radius.get(r.word_length, 0) + 1
+    radii, counts = np.unique(ball.lengths, return_counts=True)
     return GrowthReport(
-        counts_by_radius=dict(sorted(by_radius.items())),
+        counts_by_radius={int(r): int(c) for r, c in zip(radii, counts)},
         counts_by_norm=(edges, cum),
         delta_hat=max(float(slope), 0.0),
         fit_window=(float(x[0]), float(x[-1])),
         fit_residual=resid,
-        sample_size=len(records),
+        sample_size=len(norms),
     )
 
 
-def limit_cone_sample(records, floor: float = 5.0, gap_tol: float = 1e-6) -> LimitConeSample:
+def limit_cone_sample(ball, floor: float = 5.0, gap_tol: float = 1e-6) -> LimitConeSample:
     """Unit Cartan directions above the norm floor; Jordan directions tagged apart."""
-    kdirs = []
+    above = np.nonzero(ball.norms >= floor)[0]
     ldirs = []
-    for r in records:
-        if r.kappa.norm >= floor:
-            kdirs.append(r.kappa.coords / r.kappa.norm)
-            lam = jordan_projection(r.element)
-            if has_loxodromic_gaps(lam, gap_tol) and lam.norm > 0:
-                ldirs.append(lam.coords / lam.norm)
-    n = records[0].element.n if records else 0
+    for g in ball[above].elements():
+        lam = jordan_projection(g)
+        if has_loxodromic_gaps(lam, gap_tol) and lam.norm > 0:
+            ldirs.append(lam.coords / lam.norm)
+    n = ball.kappas.shape[-1]
     return LimitConeSample(
-        kappa_directions=np.array(kdirs).reshape(-1, n) if kdirs else np.empty((0, n)),
+        kappa_directions=ball.kappas[above] / ball.norms[above, None],
         lambda_directions=np.array(ldirs).reshape(-1, n) if ldirs else np.empty((0, n)),
         floor=floor,
-        empty=not kdirs,
+        empty=above.size == 0,
     )
 
 
-def growth_indicator_estimate(records, v: CartanVector, angles, bins: float = 0.5):
+def growth_indicator_estimate(ball, v: CartanVector, angles, bins: float = 0.5):
     """Cone growth rates around a fixed interior direction, one per half-angle.
 
     The small-angle end of the curve estimates the direction-refined growth rate;
@@ -127,12 +118,10 @@ def growth_indicator_estimate(records, v: CartanVector, angles, bins: float = 0.
     """
     if min_root_value(v) <= 0:
         raise SlnLabError("direction must be interior to the chamber")
-    records = list(records)
-    kappas = np.array([r.kappa.coords for r in records], dtype=float).reshape(len(records), v.coords.size)
     out = []
     for ang in angles:
         cone = Cone(axis=v, half_angle=float(ang))
-        inside = [r for r, ok in zip(records, cone.contains_many(kappas)) if ok]
+        inside = ball[cone.contains_many(ball.kappas)]
         try:
             rep = estimate_delta(inside, bins=bins)
             out.append(ConeGrowth(cone=cone, tau_hat=rep.delta_hat, sample_size=len(inside)))
@@ -165,23 +154,19 @@ def subadditivity_defect(elements, pair_budget: int = 2000, pairs=None, rng=None
     return float(defects.max()), float(defects.mean()), np.histogram(defects, bins=20)
 
 
-def anosov_slope(records):
+def anosov_slope(ball):
     """Fit min-root growth against word length: min_root(kappa) >= C * len - c.
 
     The slope comes from least squares through the per-length minima; the offset
-    is then lifted so the bound holds on every record. Returns (C_hat, c_hat,
+    is then lifted so the bound holds on every row. Returns (C_hat, c_hat,
     min_ratio) where min_ratio is the worst observed min-root per unit length.
     """
-    records = list(records)
-    if not records:
+    if not len(ball.kappas):
         raise SlnLabError("no records")
-    lengths = np.array([r.word_length for r in records], dtype=float)
-    roots = np.array([min_root_value(r.kappa) for r in records])
-    per_len = {}
-    for L, m in zip(lengths, roots):
-        per_len[L] = min(per_len.get(L, np.inf), m)
-    xs = np.array(sorted(per_len))
-    ys = np.array([per_len[x] for x in xs])
+    lengths = ball.lengths.astype(float)
+    roots = np.min(-np.diff(ball.kappas, axis=1), axis=1)
+    xs = np.unique(lengths)
+    ys = np.array([roots[lengths == x].min() for x in xs])
     if xs.size == 1:
         c_slope = ys[0] / xs[0]
         offset = 0.0

@@ -68,27 +68,67 @@ def barycentric_axis(n) -> CartanVector:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """A fully decomposed orbit element: word, matrix, chamber data, boundary data."""
+    """One row of an OrbitBall: word, matrix and chamber data, built on access."""
 
     word: tuple
     element: GroupElement
     kappa: CartanVector
     kak: KAKDecomposition
-    k_flag: Flag
-    l_opposite: OppositeFlag
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitBall:
+    """A word ball as columns, one row per word.
+
+    matrices, k_frames and l_frames are (N, n, n) with matrices[i] = k exp(kappa) l;
+    kappas is (N, n) and norms (N,). exact holds the rational entries of each row,
+    or is None when the generators carry none. Indexing by an integer gives an
+    OrbitRecord; by a slice, index array or mask, the sub-ball of those rows.
+    """
+
+    words: list
+    matrices: np.ndarray
+    exact: list | None
+    kappas: np.ndarray
+    norms: np.ndarray
+    k_frames: np.ndarray
+    l_frames: np.ndarray
+
+    def __len__(self):
+        return len(self.words)
 
     @property
-    def word_length(self):
-        return len(self.word)
+    def lengths(self):
+        return np.array([len(w) for w in self.words], dtype=int)
 
-    def to_json_dict(self):
-        return {
-            "word": list(self.word),
-            "matrix": self.element.entries.tolist(),
-            "kappa": self.kappa.coords.tolist(),
-            "k_flag": self.k_flag.frame.tolist(),
-            "l_opposite": self.l_opposite.frame.tolist(),
-        }
+    def elements(self):
+        """The matrices as GroupElements, with their exact entries where carried."""
+        exacts = [None] * len(self) if self.exact is None else self.exact
+        return [GroupElement(m, exact=ex, validate=False) for m, ex in zip(self.matrices, exacts)]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            kappa = CartanVector(self.kappas[key])
+            ex = None if self.exact is None else self.exact[key]
+            return OrbitRecord(
+                word=self.words[key],
+                element=GroupElement(self.matrices[key], exact=ex, validate=False),
+                kappa=kappa,
+                kak=KAKDecomposition(k=self.k_frames[key], a=kappa, l=self.l_frames[key]),
+            )
+        idx = np.arange(len(self))[key]
+        return OrbitBall(
+            words=[self.words[i] for i in idx],
+            matrices=self.matrices[idx],
+            exact=None if self.exact is None else [self.exact[i] for i in idx],
+            kappas=self.kappas[idx],
+            norms=self.norms[idx],
+            k_frames=self.k_frames[idx],
+            l_frames=self.l_frames[idx],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -125,9 +165,11 @@ def enumerate_ball(
     dedup: str = "none",
     include_inverses: bool = False,
     node_budget: int = 10**7,
-):
-    """All reduced words up to the given length, decomposed into OrbitRecords.
+) -> OrbitBall:
+    """All reduced words up to the given length, decomposed into an OrbitBall.
 
+    Rows run by word length, then by last letter (1, -1, 2, -2, ...), then by the
+    row of the word's prefix.
     dedup: 'none' keeps every word, 'float' collapses matrices equal after
     rounding entries at 1e-9 (heuristic), 'exact' collapses canonical rational
     matrices and requires exact entries on every generator. Exact entries are
@@ -149,7 +191,7 @@ def enumerate_ball(
     n = generators[0].n
 
     seen = set()
-    out_words, out_mats, out_exacts = [], [], []
+    out_words, out_mats, out_exacts = [], [], [] if exacts is not None else None
     frontier_words = [()]
     frontier_mats = np.eye(n)[None]
     frontier_exact = [exact.identity(n)] if exacts is not None else None
@@ -157,124 +199,103 @@ def enumerate_ball(
     for _ in range(radius):
         next_words, next_mats, next_exact = [], [], [] if exacts is not None else None
         for letter in keys:
-            if include_inverses:
-                sel = [
-                    i for i, w in enumerate(frontier_words) if not (w and w[-1] == -letter)
-                ]
-            else:
-                sel = range(len(frontier_words))
-            sel = list(sel)
+            sel = [
+                i
+                for i, w in enumerate(frontier_words)
+                if not (include_inverses and w and w[-1] == -letter)
+            ]
             if not sel:
                 continue
             nodes += len(sel)
             if nodes > node_budget:
                 raise BudgetExceeded(f"ball exceeds {node_budget} nodes")
             children = frontier_mats[sel] @ arrs[letter]
+            kept = []
             for pos, i in enumerate(sel):
-                m = children[pos]
                 ex = None
                 if exacts is not None:
                     ex = exact.mat_mul(frontier_exact[i], exacts[letter])
                 if dedup == "exact":
                     key = ex
                 elif dedup == "float":
-                    key = np.round(m, 9).tobytes()
+                    key = np.round(children[pos], 9).tobytes()
                 else:
                     key = None
                 if key is not None:
                     if key in seen:
                         continue
                     seen.add(key)
-                w = frontier_words[i] + (letter,)
-                next_words.append(w)
-                next_mats.append(m)
+                kept.append(pos)
+                next_words.append(frontier_words[i] + (letter,))
                 if next_exact is not None:
                     next_exact.append(ex)
+            next_mats.append(children[kept])
         out_words.extend(next_words)
         out_mats.extend(next_mats)
         if exacts is not None:
             out_exacts.extend(next_exact)
         frontier_words = next_words
-        frontier_mats = (
-            np.stack(next_mats) if next_mats else np.empty((0, n, n))
-        )
+        frontier_mats = np.concatenate(next_mats) if next_mats else np.empty((0, n, n))
         frontier_exact = next_exact
-    elements = [
-        GroupElement(m, exact=out_exacts[i] if exacts is not None else None, validate=False)
-        for i, m in enumerate(out_mats)
-    ]
-    return _decompose_records(out_words, elements)
 
-
-def _decompose_records(words, elements):
-    if not words:
-        return []
-    u, s, vt = svd_special(np.stack([e.entries for e in elements]))
+    matrices = np.concatenate(out_mats)
+    u, s, vt = svd_special(matrices)
     s = np.maximum(s, np.finfo(float).tiny)
     logs = np.log(s)
-    logs = logs - logs.mean(axis=1, keepdims=True)
+    kappas = logs - logs.mean(axis=1, keepdims=True)
     # beyond float64's singular-value range the bulk logs are noise; recompute
     # the chamber vector at extended precision where exact entries allow it
-    needs_upgrade = s[:, -1] < s[:, 0] * _RANGE_GUARD
-    records = []
-    for i, (w, e) in enumerate(zip(words, elements)):
-        if needs_upgrade[i] and e.exact is not None:
-            kappa = cartan_projection(e)
-        else:
-            kappa = CartanVector(logs[i])
-        kak = KAKDecomposition(k=u[i], a=kappa, l=vt[i])
-        records.append(
-            OrbitRecord(
-                word=w,
-                element=e,
-                kappa=kappa,
-                kak=kak,
-                k_flag=Flag._trusted(u[i]),
-                l_opposite=OppositeFlag._trusted(vt[i].T),
-            )
-        )
-    return records
+    if exacts is not None:
+        for i in np.nonzero(s[:, -1] < s[:, 0] * _RANGE_GUARD)[0]:
+            g = GroupElement(matrices[i], exact=out_exacts[i], validate=False)
+            kappas[i] = cartan_projection(g).coords
+    return OrbitBall(
+        words=out_words,
+        matrices=matrices,
+        exact=out_exacts,
+        kappas=kappas,
+        # bit for bit the CartanVector.norm of each row
+        norms=np.sqrt(np.vecdot(kappas, kappas)),
+        k_frames=u,
+        l_frames=vt,
+    )
 
 
-def filter_gamma_set(records, spec: FilterSpec):
-    """Keep records inside the cone and norm window whose boundary data sit within
+def filter_gamma_set(ball: OrbitBall, spec: FilterSpec) -> OrbitBall:
+    """The sub-ball inside the cone and norm window whose boundary data sit within
     epsilon of the anchors."""
-    records = list(records)
-    if not records:
-        return []
-    kappas = np.stack([r.kappa.coords for r in records])
-    norms = np.linalg.norm(kappas, axis=1)
-    keep = spec.cone.contains_many(kappas) & (norms >= spec.n_min)
+    norms = ball.norms
+    keep = spec.cone.contains_many(ball.kappas) & (norms >= spec.n_min)
     if spec.width is not None:
         keep &= norms < spec.n_min + spec.width
     idx = np.nonzero(keep)[0]
-    if idx.size == 0:
-        return []
-    kframes = np.stack([records[i].k_flag.frame for i in idx])
-    lframes = np.stack([records[i].l_opposite.frame for i in idx])
-    dx = batch_projector_distance(kframes, spec.x.frame)
+    dx = batch_projector_distance(ball.k_frames[idx], spec.x.frame)
+    # opposite-flag frames are the transposed L frames; contiguous, as the
+    # per-row stacks were, so the kernel's matrix products are unchanged
+    lframes = np.ascontiguousarray(np.swapaxes(ball.l_frames[idx], -1, -2))
     dy = batch_projector_distance(lframes, spec.y.frame, reverse=True)
-    final = idx[(dx < spec.epsilon) & (dy < spec.epsilon)]
-    return [records[i] for i in final]
+    return ball[idx[(dx < spec.epsilon) & (dy < spec.epsilon)]]
 
 
-def greedy_disjoint_pack(candidates, R: float, forced=()):
-    """Greedy maximal subset with pairwise-disjoint symmetric-space shadows.
+def greedy_disjoint_pack(candidates: OrbitBall, R: float, forced=()) -> OrbitBall:
+    """Greedy maximal sub-ball with pairwise-disjoint symmetric-space shadows.
 
-    Candidates are visited by ascending Cartan norm (ties by word); a candidate
-    joins when its shadow is certifiably disjoint from every selected one, by
-    orbit-point separation (unknown counts as overlapping).
+    The forced rows of candidates come first. The others are visited by ascending
+    Cartan norm (ties by word); a candidate joins when its shadow is certifiably
+    disjoint from every selected one, by orbit-point separation (unknown counts as
+    overlapping).
     """
     if R <= 0:
         raise SlnLabError("R must be positive")
-    pool = sorted(candidates, key=lambda r: (r.kappa.norm, r.word))
-    selected = list(forced)
-    for rec in pool:
-        if any(rec.word == s.word for s in selected):
+    norms, words = candidates.norms, candidates.words
+    selected = [words.index(r.word) for r in forced]
+    elements = candidates.elements()
+    for i in sorted(range(len(candidates)), key=lambda i: (norms[i], words[i])):
+        if i in selected:
             continue
-        if all(shadows_certified_disjoint(rec.element, s.element, R) for s in selected):
-            selected.append(rec)
-    return selected
+        if all(shadows_certified_disjoint(elements[i], elements[j], R) for j in selected):
+            selected.append(i)
+    return candidates[selected]
 
 
 @dataclass
@@ -286,26 +307,24 @@ class ZariskiReport:
     verdict: str  # 'consistent with Zariski dense' | 'inconclusive'
 
 
-def zariski_heuristic(records, gap_tol: float = 1e-6, jordan_cap: int = 500) -> ZariskiReport:
+def zariski_heuristic(ball: OrbitBall, gap_tol: float = 1e-6, jordan_cap: int = 500) -> ZariskiReport:
     """Necessary-condition screen for Zariski density; never claims a proof.
 
     Checks that the linear span of the orbit matrices is the full matrix algebra,
-    that Jordan projections of loxodromic records span the chamber's ambient
-    space, and counts loxodromic records.
+    that Jordan projections of loxodromic rows span the chamber's ambient space,
+    and counts loxodromic rows.
     """
-    records = list(records)
-    if len(records) < 2:
+    if len(ball) < 2:
         raise SlnLabError("need at least two records")
-    n = records[0].element.n
-    stacked = np.stack([r.element.entries.reshape(-1) for r in records])
-    span_dim = int(np.linalg.matrix_rank(stacked, tol=1e-9))
+    n = ball.matrices.shape[-1]
+    span_dim = int(np.linalg.matrix_rank(ball.matrices.reshape(len(ball), -1), tol=1e-9))
 
     lox = 0
     lambdas = []
-    for r in records:
+    for g in ball.elements():
         if len(lambdas) >= jordan_cap:
             break
-        lam = jordan_projection(r.element)
+        lam = jordan_projection(g)
         if has_loxodromic_gaps(lam, gap_tol):
             lox += 1
             lambdas.append(lam.coords)
@@ -321,21 +340,24 @@ def zariski_heuristic(records, gap_tol: float = 1e-6, jordan_cap: int = 500) -> 
     )
 
 
-def measure_cone_width_constant(records, n_min: float, width: float, pair_cap: int = 2000):
+def measure_cone_width_constant(ball: OrbitBall, n_min: float, width: float, pair_cap: int = 2000):
     """Empirical bound on ||kappa_1 - kappa_2|| / (n + w) over an annulus."""
-    anns = [
-        r.kappa.coords
-        for r in records
-        if n_min <= r.kappa.norm < n_min + width
-    ]
+    anns = ball.kappas[(ball.norms >= n_min) & (ball.norms < n_min + width)]
     if len(anns) < 2:
         return 0.0
-    anns = np.stack(anns[: int(math.isqrt(2 * pair_cap)) + 2])
+    anns = anns[: int(math.isqrt(2 * pair_cap)) + 2]
     diffs = anns[:, None, :] - anns[None, :, :]
     return float(np.max(np.linalg.norm(diffs, axis=2)) / (n_min + width))
 
 
-def records_to_jsonl(records, path):
+def records_to_jsonl(ball: OrbitBall, path):
     with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_json_dict()) + "\n")
+        for i, w in enumerate(ball.words):
+            row = {
+                "word": list(w),
+                "matrix": ball.matrices[i].tolist(),
+                "kappa": ball.kappas[i].tolist(),
+                "k_flag": ball.k_frames[i].tolist(),
+                "l_opposite": ball.l_frames[i].T.tolist(),
+            }
+            fh.write(json.dumps(row) + "\n")

@@ -23,7 +23,7 @@ from .errors import (
     SlnLabError,
     TooFewRecords,
 )
-from .flags import attracting_flag, flag_from_json, repelling_flag, transversality_margin
+from .flags import fixed_flags, flag_from_json, transversality_margin
 from .growth import (
     anosov_slope,
     estimate_delta,
@@ -32,7 +32,7 @@ from .growth import (
     limit_cone_sample,
     subadditivity_defect,
 )
-from .lie import GroupElement, is_loxodromic, min_root_value
+from .lie import GroupElement, is_loxodromic
 from .orbits import (
     Cone,
     FilterSpec,
@@ -192,29 +192,32 @@ def _resolve_cone(config):
     return config.cone
 
 
-def _auto_anchors(records, gap_tol):
-    """Boundary anchors from the most chamber-interior loxodromic record."""
-    ordered = sorted(records, key=lambda r: -min_root_value(r.kappa))
-    for r in ordered:
-        if is_loxodromic(r.element, gap_tol):
-            return attracting_flag(r.element, gap_tol), repelling_flag(r.element, gap_tol)
+def _auto_anchors(ball, gap_tol):
+    """Boundary anchors from the most chamber-interior loxodromic row."""
+    min_roots = np.min(-np.diff(ball.kappas, axis=1), axis=1)
+    for i in np.argsort(-min_roots, kind="stable"):
+        g = ball[i].element
+        if is_loxodromic(g, gap_tol):
+            return fixed_flags(g, gap_tol)
     raise SearchExhausted("no loxodromic record to anchor the filter")
 
 
 def cmd_analyze(config: PipelineConfig):
     """Growth and limit-cone reports for the enumerated ball. Returns the report dict."""
     gens = load_generators(config.generators_path)
-    records = enumerate_ball(
+    ball = enumerate_ball(
         gens,
         config.radius,
         dedup=config.dedup,
         include_inverses=config.include_inverses,
         node_budget=config.node_budget,
     )
-    growth = estimate_delta(records)
+    growth = estimate_delta(ball)
     cone = _resolve_cone(config)
-    curve = growth_indicator_estimate(records, cone.axis, DEFAULT_ANGLES)
-    sample = limit_cone_sample(records, floor=min(5.0, 0.5 * max(r.kappa.norm for r in records)))
+    curve = growth_indicator_estimate(ball, cone.axis, DEFAULT_ANGLES)
+    sample = limit_cone_sample(
+        ball, floor=min(5.0, 0.5 * float(ball.norms.max())), gap_tol=config.gap_tol
+    )
 
     os.makedirs(config.output_dir, exist_ok=True)
     _write_growth_csv(os.path.join(config.output_dir, "growth.csv"), growth)
@@ -222,7 +225,7 @@ def cmd_analyze(config: PipelineConfig):
     report = {
         "generated_at": _timestamp(),
         "n": config.n,
-        "records": len(records),
+        "records": len(ball),
         "delta_hat": growth.delta_hat,
         "fit_window": list(growth.fit_window),
         "fit_residual": growth.fit_residual,
@@ -245,7 +248,7 @@ def cmd_build_semigroup(config: PipelineConfig):
     the retry budget yields a packed set with selection sum >= 1 that certifies.
     """
     gens = load_generators(config.generators_path)
-    records = enumerate_ball(
+    ball = enumerate_ball(
         gens,
         config.radius,
         dedup=config.dedup,
@@ -254,7 +257,7 @@ def cmd_build_semigroup(config: PipelineConfig):
     )
     cone = _resolve_cone(config)
     if config.anchor_x == "auto" or config.anchor_y == "auto":
-        anchor_x, anchor_y = _auto_anchors(records, config.gap_tol)
+        anchor_x, anchor_y = _auto_anchors(ball, config.gap_tol)
         auto_anchors = True
     else:
         anchor_x, anchor_y, auto_anchors = config.anchor_x, config.anchor_y, False
@@ -266,11 +269,12 @@ def cmd_build_semigroup(config: PipelineConfig):
             raise SearchExhausted(msg)
         raise ConfigError(msg)
 
-    max_norm = max(r.kappa.norm for r in records)
+    max_norm = float(ball.norms.max())
     n_min = 0.5 * max_norm if config.n_min == "auto" else float(config.n_min)
     width = config.width
     rounds = []
     chosen = None
+    pinned_words = set(map(tuple, config.pinned_words))
 
     for attempt in range(config.retries + 1):
         round_info = {"attempt": attempt, "n_min": n_min, "width": width}
@@ -280,20 +284,19 @@ def cmd_build_semigroup(config: PipelineConfig):
             )
         except SlnLabError as e:
             raise ConfigError(str(e)) from e
-        candidates = [
-            r for r in filter_gamma_set(records, spec) if is_loxodromic(r.element, config.gap_tol)
-        ]
+        kept = filter_gamma_set(ball, spec)
+        candidates = kept[[is_loxodromic(g, config.gap_tol) for g in kept.elements()]]
         round_info["candidates"] = len(candidates)
-        pinned = [r for r in candidates if r.word in set(map(tuple, config.pinned_words))]
+        pinned = candidates[[w in pinned_words for w in candidates.words]]
         packed = greedy_disjoint_pack(candidates, config.shadow_radius, forced=pinned[:2])
         round_info["packed"] = len(packed)
         if len(packed) >= 2:
-            sum_val = generator_sum_condition([r.kappa.norm for r in packed], config.target_delta)
+            sum_val = generator_sum_condition(packed.norms, config.target_delta)
             round_info["selection_sum"] = sum_val
             if sum_val >= 1.0:
                 try:
                     cert = pingpong_certificate(
-                        [r.element for r in packed],
+                        packed.elements(),
                         config.epsilon,
                         budget=config.sample_budget,
                         gap_tol=config.gap_tol,
@@ -320,9 +323,9 @@ def cmd_build_semigroup(config: PipelineConfig):
     os.makedirs(config.output_dir, exist_ok=True)
     growth = None
     try:
-        growth = estimate_delta(records)
+        growth = estimate_delta(ball)
         _write_growth_csv(os.path.join(config.output_dir, "growth.csv"), growth)
-        curve = growth_indicator_estimate(records, cone.axis, DEFAULT_ANGLES)
+        curve = growth_indicator_estimate(ball, cone.axis, DEFAULT_ANGLES)
         _write_cone_csv(os.path.join(config.output_dir, "cone.csv"), curve)
     except (TooFewRecords, SlnLabError):
         pass
@@ -331,7 +334,7 @@ def cmd_build_semigroup(config: PipelineConfig):
         "generated_at": _timestamp(),
         "n": config.n,
         "seed": config.seed,
-        "records": len(records),
+        "records": len(ball),
         "anchors_auto": auto_anchors,
         "anchor_margin": sep,
         "rounds": rounds,
@@ -348,23 +351,22 @@ def cmd_build_semigroup(config: PipelineConfig):
     packed, cert, sum_val = chosen
     records_to_jsonl(packed, os.path.join(config.output_dir, "packing.jsonl"))
 
-    if config.exact_check and all(r.element.exact is not None for r in packed):
-        cert.exact_crosscheck = exact_freeness_crosscheck(
-            [r.element for r in packed], config.exact_check
-        )
+    elements = packed.elements()
+    if config.exact_check and packed.exact is not None:
+        cert.exact_crosscheck = exact_freeness_crosscheck(elements, config.exact_check)
 
-    elements = [r.element for r in packed]
     # keep the word blow-up bounded: |S|^depth <= ~256 words for the checklist
     depth = 1
     while len(elements) ** (depth + 1) <= 256 and depth < 4:
         depth += 1
-    words = sorted(enumerate_ball(elements, depth, dedup="none"), key=lambda r: (len(r.word), r.word))
-    pair_pool = [r.element for r in words[:16]]
+    words = enumerate_ball(elements, depth, dedup="none")
+    shortest = sorted(range(len(words)), key=lambda i: (len(words.words[i]), words.words[i]))
+    pair_pool = words[shortest[:16]].elements()
     max_def, mean_def, _hist = subadditivity_defect(
         None, pairs=[(a, b) for a in pair_pool for b in pair_pool]
     )
     slope = anosov_slope(words)
-    zar = zariski_heuristic(records)
+    zar = zariski_heuristic(ball, gap_tol=config.gap_tol)
 
     checklist = {
         "contraction_verdicts": [c.verdict for c in cert.per_generator],
@@ -379,7 +381,7 @@ def cmd_build_semigroup(config: PipelineConfig):
     report.update(
         {
             "outcome": "pass",
-            "generators_selected": [list(r.word) for r in packed],
+            "generators_selected": [list(w) for w in packed.words],
             "checklist": checklist,
         }
     )

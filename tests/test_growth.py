@@ -28,18 +28,20 @@ from slnlab.orbits import barycentric_axis
 
 @dataclass
 class Syn:
-    """Synthetic record: all the growth estimators need is a norm and a length."""
+    """Synthetic ball columns: all the growth estimators read are norms and lengths."""
 
-    kappa: CartanVector
-    word_length: int
+    kappas: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def norms(self):
+        return np.sqrt(np.vecdot(self.kappas, self.kappas))
 
 
 def synthetic_free_records(L=5.0, depth=12):
-    records = []
-    for k in range(1, depth + 1):
-        x = L * k / math.sqrt(2)
-        records.extend([Syn(CartanVector(np.array([x, -x])), k)] * (2**k))
-    return records
+    lengths = np.repeat(np.arange(1, depth + 1), 2 ** np.arange(1, depth + 1))
+    x = L * lengths / math.sqrt(2)
+    return Syn(np.stack([x, -x], axis=1), lengths)
 
 
 def diag(*vals):
@@ -53,12 +55,12 @@ def schottky_ball(strong_rational_pair):
 
 class TestPoincareSum:
     def test_empty(self):
-        assert poincare_partial_sum([], 1.0) == 0.0
+        assert poincare_partial_sum(Syn(np.empty((0, 2)), np.empty(0, dtype=int)), 1.0) == 0.0
 
     def test_single_record(self):
         x = 2.0 / math.sqrt(2)
-        rec = Syn(CartanVector(np.array([x, -x])), 1)
-        assert poincare_partial_sum([rec], 1.0) == pytest.approx(math.exp(-2.0))
+        rec = Syn(np.array([[x, -x]]), np.array([1]))
+        assert poincare_partial_sum(rec, 1.0) == pytest.approx(math.exp(-2.0))
 
     def test_zero_exponent_counts_words(self, schottky_ball):
         assert poincare_partial_sum(schottky_ball, 0.0) == pytest.approx(2**11 - 2)
@@ -76,20 +78,18 @@ class TestEstimateDelta:
 
     def test_cyclic_semigroup_rate_zero(self):
         g_norm = 2.0
-        records = [
-            Syn(CartanVector(np.array([g_norm * k, -g_norm * k]) / math.sqrt(2)), k)
-            for k in range(1, 201)
-        ]
+        k = np.arange(1, 201)
+        records = Syn(np.stack([g_norm * k, -g_norm * k], axis=1) / math.sqrt(2), k)
         rep = estimate_delta(records, bins=1.0)
         assert rep.delta_hat < 0.05
 
     def test_too_few_records(self):
         with pytest.raises(TooFewRecords):
-            estimate_delta(synthetic_free_records(depth=4)[:50])
+            estimate_delta(synthetic_free_records(depth=4))
 
     def test_single_bin_degenerate(self):
         x = 3.0 / math.sqrt(2)
-        records = [Syn(CartanVector(np.array([x, -x])), 1)] * 200
+        records = Syn(np.tile([x, -x], (200, 1)), np.ones(200, dtype=int))
         with pytest.raises(DegenerateFit):
             estimate_delta(records, bins=1.0)
 
@@ -190,7 +190,7 @@ class TestAnosovSlope:
         assert ratio == pytest.approx(4.0, abs=1e-9)
 
     def test_schottky_ball_bounded_below(self, schottky_ball, strong_rational_pair):
-        records = [r for r in schottky_ball if r.word_length <= 8]
+        records = schottky_ball[schottky_ball.lengths <= 8]
         C, c, ratio = anosov_slope(records)
         assert C > 0
         gen_gap = min(

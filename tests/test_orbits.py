@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,12 +16,14 @@ from slnlab import (
     cartan_projection,
     enumerate_ball,
     filter_gamma_set,
+    fixed_flags,
     flag_distance,
     greedy_disjoint_pack,
     measure_cone_width_constant,
     repelling_flag,
     zariski_heuristic,
 )
+from slnlab.flags import Flag
 from slnlab.lie import CartanVector
 
 
@@ -62,7 +65,7 @@ class TestEnumerateBall:
         assert len(records) == 6  # 2 + 4
 
     def test_records_are_complete(self, schottky_ball):
-        for r in schottky_ball[:20]:
+        for i, r in enumerate(schottky_ball[:20]):
             assert np.allclose(
                 r.kappa.coords, cartan_projection(r.element).coords, atol=1e-9
             )
@@ -71,7 +74,7 @@ class TestEnumerateBall:
                 recon = r.kak.reconstruct()
                 scale = max(1.0, np.abs(r.element.entries).max())
                 assert np.abs(recon - r.element.entries).max() < 1e-7 * scale
-            assert np.abs(r.k_flag.frame - r.kak.k).max() == 0.0
+            assert np.abs(schottky_ball.k_frames[i] - r.kak.k).max() == 0.0
 
     def test_sanov_free_group_ball(self, sanov_pair):
         records = enumerate_ball(sanov_pair, 4, dedup="exact", include_inverses=True)
@@ -118,7 +121,7 @@ class TestFilterGammaSet:
             cone=Cone(axis=barycentric_axis(2), half_angle=1.5), x=x, y=y,
             n_min=1e4, epsilon=0.1,
         )
-        assert filter_gamma_set(schottky_ball, spec) == []
+        assert len(filter_gamma_set(schottky_ball, spec)) == 0
 
     def test_schottky_anchor_selects_first_letter(self, strong_rational_pair, schottky_ball):
         g1 = strong_rational_pair[0]
@@ -132,7 +135,7 @@ class TestFilterGammaSet:
         for r in kept:
             assert r.word[0] == 1, "k-flag close to the anchor forces the first letter"
             assert r.word[-1] == 1, "repelling data close to the anchor forces the last letter"
-        assert all(flag_distance(r.k_flag, x) < 0.1 for r in kept)
+        assert all(flag_distance(Flag(r.kak.k), x) < 0.1 for r in kept)
 
     def test_monotone_in_epsilon_and_floor(self, strong_rational_pair, schottky_ball):
         g1 = strong_rational_pair[0]
@@ -165,19 +168,14 @@ class TestFilterGammaSet:
 
 class TestGreedyPack:
     def test_single_candidate_survives(self, schottky_ball):
-        assert greedy_disjoint_pack(schottky_ball[:1], R=1.0) == schottky_ball[:1]
+        assert greedy_disjoint_pack(schottky_ball[:1], R=1.0).words == schottky_ball[:1].words
 
     def test_identical_matrices_collapse(self, schottky_ball):
-        rec = schottky_ball[0]
-        dup = type(rec)(
-            word=rec.word + (0,),  # distinct label, same matrix
-            element=rec.element,
-            kappa=rec.kappa,
-            kak=rec.kak,
-            k_flag=rec.k_flag,
-            l_opposite=rec.l_opposite,
-        )
-        packed = greedy_disjoint_pack([rec, dup], R=1.0)
+        twice = schottky_ball[[0, 0]]
+        word = twice.words[0]
+        # distinct label, same matrix
+        dup = dataclasses.replace(twice, words=[word, word + (0,)])
+        packed = greedy_disjoint_pack(dup, R=1.0)
         assert len(packed) == 1
 
     def test_selection_is_deterministic_and_disjoint(self, schottky_ball):
@@ -312,3 +310,64 @@ def _k_flag(element):
     from slnlab.flags import Flag
 
     return Flag(kak_decomposition(element).k)
+
+
+SL3_PAIR = ([[1, 1, 0], [1, 2, 1], [0, 1, 2]], [[2, 0, 1], [1, 1, 1], [1, 0, 1]])
+# a loxodromic word of each ball whose fixed flags anchor the filter
+ANCHOR_WORD = {"sanov": (1, 2), "strong": (1,), "sl3": (1, 1, 2)}
+
+
+def _columns_case(name, sanov_pair, strong_rational_pair):
+    """A ball at n = 2 or n = 3 and the element of its anchor word."""
+    if name == "sanov":
+        ball = enumerate_ball(sanov_pair, 6, dedup="float", include_inverses=True)
+    elif name == "strong":
+        # deep words take the extended-precision chamber vectors
+        ball = enumerate_ball(strong_rational_pair, 5)
+    else:
+        gens = [GroupElement.from_exact(m) for m in SL3_PAIR]
+        ball = enumerate_ball(gens, 4, dedup="float", include_inverses=True)
+    return ball, ball[ball.words.index(ANCHOR_WORD[name])].element
+
+
+def _assert_rows_equal(a, b):
+    assert a.word == b.word
+    assert np.array_equal(a.element.entries, b.element.entries)
+    assert a.element.exact == b.element.exact
+    assert np.array_equal(a.kappa.coords, b.kappa.coords)
+    assert np.array_equal(a.kak.k, b.kak.k)
+    assert np.array_equal(a.kak.l, b.kak.l)
+
+
+@pytest.mark.parametrize("name", ["sanov", "strong", "sl3"])
+class TestBallColumns:
+    """The columns of an OrbitBall agree bit for bit with the rows built from them."""
+
+    def test_rows_match_columns(self, name, sanov_pair, strong_rational_pair):
+        ball, _ = _columns_case(name, sanov_pair, strong_rational_pair)
+        assert len(ball) == len(ball.words) == len(ball.lengths)
+        for i, r in enumerate(ball):
+            assert ball.norms[i] == r.kappa.norm
+            assert ball.lengths[i] == len(r.word)
+            assert np.array_equal(ball.kappas[i], r.kappa.coords)
+            assert np.array_equal(ball.k_frames[i], r.kak.k)
+            assert np.array_equal(ball.l_frames[i], r.kak.l)
+            assert np.array_equal(ball.matrices[i], r.element.entries)
+            _assert_rows_equal(ball[i], r)
+
+    def test_sub_balls_are_parent_rows(self, name, sanov_pair, strong_rational_pair):
+        ball, anchor = _columns_case(name, sanov_pair, strong_rational_pair)
+        x, y = fixed_flags(anchor)
+        spec = FilterSpec(cone=Cone(axis=barycentric_axis(anchor.n), half_angle=0.6),
+                          x=x, y=y, n_min=0.0, epsilon=0.07)
+        kept = filter_gamma_set(ball, spec)
+        packed = greedy_disjoint_pack(kept, R=0.05)
+        forced = greedy_disjoint_pack(kept, R=0.05, forced=kept[[-1]])
+        assert len(packed) >= 2
+        assert forced.words[0] == kept.words[-1]
+        row_of = {w: i for i, w in enumerate(ball.words)}
+        kept_rows = [row_of[w] for w in kept.words]
+        assert kept_rows == sorted(kept_rows)
+        for sub in (kept, packed, forced):
+            for r, i in zip(sub, [row_of[w] for w in sub.words]):
+                _assert_rows_equal(r, ball[i])

@@ -80,6 +80,13 @@ class TestAnalyze:
         assert os.path.exists(tmp_path / "out" / "cone.csv")
         assert os.path.exists(tmp_path / "out" / "report.json")
 
+    def test_config_gap_tol_reaches_the_limit_cone_sample(self, tmp_path):
+        # every Sanov word's eigenvalue-moduli gap is far below 100
+        cfg = PipelineConfig.from_json_file(base_config(tmp_path, SANOV, radius=5, gap_tol=100))
+        report = cmd_analyze(cfg)
+        assert report["kappa_direction_samples"] > 0
+        assert report["lambda_direction_samples"] == 0
+
     def test_cli_exit_codes(self, tmp_path):
         cfg_path = base_config(tmp_path, SANOV)
         assert cli_main(["analyze", "--config", cfg_path]) == 0
