@@ -457,9 +457,9 @@ def pingpong_certificate(
 def exact_freeness_crosscheck(S, max_len: int, node_budget: int = 10**7) -> CrosscheckReport:
     """Exhaustively enumerate rational words up to max_len and count collisions.
 
-    Words are hashed by their canonical rational matrices; a passing ping-pong
-    certificate predicts zero colliding pairs. Witness pairs list the first few
-    pairs of distinct words with equal matrices.
+    Words are hashed by their canonical scaled rational matrices; a passing
+    ping-pong certificate predicts zero colliding pairs. Witness pairs list the
+    first few pairs of distinct words with equal matrices.
     """
     S = list(S)
     if max_len < 2:
@@ -471,16 +471,17 @@ def exact_freeness_crosscheck(S, max_len: int, node_budget: int = 10**7) -> Cros
     if total > node_budget:
         raise BudgetExceeded(f"{total} words exceed budget {node_budget}")
 
-    seen = {}  # canonical matrix -> (first word, multiplicity)
+    letters = [exact.to_scaled(g.exact) for g in S]
+    seen = {}  # canonical scaled matrix -> (first word, multiplicity)
     witnesses = []
-    frontier = [((), exact.identity(S[0].n))]
+    frontier = [((), exact.to_scaled(exact.identity(S[0].n)))]
     checked = 0
     for _ in range(max_len):
         nxt = []
         for word, mat in frontier:
-            for i, g in enumerate(S):
+            for i, letter in enumerate(letters):
                 w = word + (i,)
-                m = exact.mat_mul(mat, g.exact)
+                m = exact.scaled_mul(mat, letter)
                 nxt.append((w, m))
                 checked += 1
                 if m in seen:

@@ -1,10 +1,21 @@
 """Exact rational matrix arithmetic for small dimensions.
 
-Matrices are tuples of tuples of ``fractions.Fraction``. Fractions normalize
-themselves, so a matrix tuple is directly usable as a canonical dict key.
+Matrices are tuples of tuples of ``fractions.Fraction``. Products run on the
+scaled form ``(den, rows)``: integer rows over one positive denominator, reduced
+so that ``gcd(den, *entries) == 1``. The reduced form is canonical: from
+``rows / den == rows' / den'`` follows ``rows * den' == rows' * den``, so ``den``
+divides ``den' * gcd(rows)`` and hence ``den'`` (and the other way round), which
+makes both pairs equal. Equal rational matrices thus have equal scaled tuples, and
+those tuples are the dict keys of exact word deduplication. A product costs one
+integer matrix product and one gcd over its entries, where ``Fraction``
+arithmetic reduces every partial sum and hashes every entry through a modular
+inverse.
 """
 
 from fractions import Fraction
+from itertools import chain
+import math
+from operator import mul
 
 from .errors import SlnLabError
 
@@ -25,11 +36,35 @@ def identity(n):
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
+def to_scaled(a):
+    """The scaled form of a Fraction matrix: the common denominator is the lcm of
+    the entries' denominators, which leaves it coprime to the scaled entries."""
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in a)
+
+
+def scaled_mul(a, b):
+    """The canonical scaled form of the product of two scaled matrices."""
+    den_a, rows_a = a
+    den_b, rows_b = b
+    cols = tuple(zip(*rows_b))
+    rows = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in rows_a)
+    den = den_a * den_b
+    g = math.gcd(den, *chain.from_iterable(rows))
+    if g > 1:
+        den //= g
+        rows = tuple(tuple(x // g for x in row) for row in rows)
+    return den, rows
+
+
+def from_scaled(a):
+    """The Fraction matrix of a scaled matrix."""
+    den, rows = a
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
 def mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    return from_scaled(scaled_mul(to_scaled(a), to_scaled(b)))
 
 
 def mat_det(a):

@@ -47,8 +47,13 @@ class GroupElement:
                     raise SlnLabError("float entries disagree with exact entries")
             else:
                 det = np.linalg.det(m)
-                if abs(det - 1.0) > DET_TOL:
-                    raise SlnLabError(f"determinant {det} not within {DET_TOL} of 1")
+                # rounding the entries and the elimination each move the determinant
+                # by a few eps times the Hadamard bound prod_i |row_i|, which long
+                # words raise far above 1
+                hadamard = np.prod(np.linalg.norm(m, axis=1))
+                tol = max(DET_TOL, 8 * m.shape[0] * np.finfo(float).eps * hadamard)
+                if abs(det - 1.0) > tol:
+                    raise SlnLabError(f"determinant {det} not within {tol} of 1")
 
     @property
     def n(self):

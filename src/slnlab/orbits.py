@@ -187,14 +187,14 @@ def enumerate_ball(
     keys = sorted(letters, key=lambda sgn: (abs(sgn), -sgn))
     arrs = {k: letters[k].entries for k in keys}
     carry_exact = all(g.exact is not None for g in generators)
-    exacts = {k: letters[k].exact for k in keys} if carry_exact else None
+    exacts = {k: exact.to_scaled(letters[k].exact) for k in keys} if carry_exact else None
     n = generators[0].n
 
     seen = set()
     out_words, out_mats, out_exacts = [], [], [] if exacts is not None else None
     frontier_words = [()]
     frontier_mats = np.eye(n)[None]
-    frontier_exact = [exact.identity(n)] if exacts is not None else None
+    frontier_exact = [exact.to_scaled(exact.identity(n))] if exacts is not None else None
     nodes = 0
     for _ in range(radius):
         next_words, next_mats, next_exact = [], [], [] if exacts is not None else None
@@ -214,7 +214,7 @@ def enumerate_ball(
             for pos, i in enumerate(sel):
                 ex = None
                 if exacts is not None:
-                    ex = exact.mat_mul(frontier_exact[i], exacts[letter])
+                    ex = exact.scaled_mul(frontier_exact[i], exacts[letter])
                 if dedup == "exact":
                     key = ex
                 elif dedup == "float":
@@ -233,7 +233,7 @@ def enumerate_ball(
         out_words.extend(next_words)
         out_mats.extend(next_mats)
         if exacts is not None:
-            out_exacts.extend(next_exact)
+            out_exacts.extend(map(exact.from_scaled, next_exact))
         frontier_words = next_words
         frontier_mats = np.concatenate(next_mats) if next_mats else np.empty((0, n, n))
         frontier_exact = next_exact

@@ -11,6 +11,7 @@ from slnlab import (
     SlnLabError,
     cartan_of_power,
     cartan_projection,
+    enumerate_ball,
     is_loxodromic,
     iwasawa_cocycle,
     jordan_projection,
@@ -34,10 +35,34 @@ def rotation(theta):
     return GroupElement.from_matrix([[c, -s], [s, c]])
 
 
+@pytest.fixture(scope="module")
+def sanov_ball_12():
+    """The positive Sanov words up to length 12; entries reach 3.3e4 at length 12."""
+    return enumerate_ball(
+        [GroupElement.from_matrix([[1, 2], [0, 1]]), GroupElement.from_matrix([[1, 0], [2, 1]])], 12
+    )
+
+
 class TestGroupElement:
     def test_rejects_bad_determinant(self):
         with pytest.raises(SlnLabError):
             GroupElement.from_matrix([[2, 0], [0, 1]])
+
+    def test_rejects_small_determinant_error(self):
+        with pytest.raises(SlnLabError):
+            GroupElement.from_matrix([[1.001, 0], [0, 1]])
+
+    def test_float_words_of_a_long_ball_reload(self, sanov_ball_12):
+        assert len(sanov_ball_12) == 8190
+        for m in sanov_ball_12.matrices:
+            GroupElement(m.tolist())
+
+    def test_rejects_a_long_word_off_by_a_scale(self, sanov_ball_12):
+        longest = sanov_ball_12.matrices[sanov_ball_12.lengths == 12]
+        worst = longest[np.argmax(np.abs(longest).max(axis=(1, 2)))]
+        GroupElement(worst.tolist())
+        with pytest.raises(SlnLabError):
+            GroupElement((worst * (1 + 1e-4)).tolist())
 
     def test_rejects_non_square(self):
         with pytest.raises(SlnLabError):
