@@ -5,6 +5,7 @@ Exit codes: 0 pass, 1 certificate fail, 2 config error, 3 budget error,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -12,6 +13,7 @@ import sys
 from .errors import (
     BudgetExceeded,
     ConfigError,
+    DedupUnavailable,
     InsufficientBudget,
     NotLoxodromic,
     SearchExhausted,
@@ -46,19 +48,10 @@ def _load_config(args):
     if not args.config:
         raise ConfigError("--config is required")
     cfg = PipelineConfig.from_json_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.radius is not None:
-        cfg.radius = args.radius
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-    if args.delta is not None:
-        cfg.target_delta = args.delta
-    if args.exact_check is not None:
-        cfg.exact_check = args.exact_check
-    if args.out:
-        cfg.output_dir = args.out
-    return cfg
+    flags = {"seed": args.seed, "radius": args.radius, "epsilon": args.epsilon,
+             "target_delta": args.delta, "exact_check": args.exact_check, "output_dir": args.out}
+    # replace() runs the config's checks again on the flags' values
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None):
@@ -91,7 +84,7 @@ def main(argv=None):
                 settings = {"exact_check": args.exact_check}
             else:
                 cfg = _load_config(args)
-                gens = load_generators(cfg.generators_path)
+                gens = cfg.generators()
                 epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
                 seed = cfg.seed
                 settings = {"budget": cfg.sample_budget, "gap_tol": cfg.gap_tol, "exact_check": cfg.exact_check}
@@ -115,7 +108,7 @@ def main(argv=None):
             return 1
 
         raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as e:
+    except (ConfigError, DedupUnavailable) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (BudgetExceeded, TooFewRecords, InsufficientBudget) as e:

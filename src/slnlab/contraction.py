@@ -9,7 +9,7 @@ seeded Monte Carlo with boundary-biased sampling. The exact crosscheck validates
 freeness independently by exhaustive rational-word enumeration at bounded length.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .sampling import band_flags_near, element_seed, perturbed_partners, rng_for
 
 LIPSCHITZ_SAFETY = 1.5
 DEFAULT_BUDGET = 4000
+MIN_BUDGET = 1000
+MIN_CROSSCHECK_LEN = 2
 DEFAULT_GAP_TOL = 1e-6
 
 
@@ -170,14 +172,7 @@ class FreenessCertificate:
             "verdict": self.verdict,
             "seed": self.seed,
             "failures": list(self.failures),
-            "exact_crosscheck": None
-            if self.exact_crosscheck is None
-            else {
-                "max_len": self.exact_crosscheck.max_len,
-                "words_checked": self.exact_crosscheck.words_checked,
-                "collisions": self.exact_crosscheck.collisions,
-                "witnesses": [list(map(list, w)) for w in self.exact_crosscheck.witnesses],
-            },
+            "exact_crosscheck": None if self.exact_crosscheck is None else asdict(self.exact_crosscheck),
         }
 
     @classmethod
@@ -249,8 +244,8 @@ def check_contracting(
     """
     if not 0 < epsilon < 1:
         raise SlnLabError("epsilon must be in (0, 1)")
-    if budget < 1000:
-        raise SlnLabError("budget must be >= 1000 samples")
+    if budget < MIN_BUDGET:
+        raise SlnLabError(f"budget must be >= {MIN_BUDGET} samples")
 
     x_plus, y_minus = fixed_flags(g, gap_tol)
     sep = transversality_margin(x_plus, y_minus).value
@@ -457,13 +452,13 @@ def pingpong_certificate(
 def exact_freeness_crosscheck(S, max_len: int, node_budget: int = 10**7) -> CrosscheckReport:
     """Exhaustively enumerate rational words up to max_len and count collisions.
 
-    Words are hashed by their canonical scaled rational matrices; a passing
+    Words are hashed by their canonical exact matrices; a passing
     ping-pong certificate predicts zero colliding pairs. Witness pairs list the
     first few pairs of distinct words with equal matrices.
     """
     S = list(S)
-    if max_len < 2:
-        raise SlnLabError("max_len must be >= 2")
+    if max_len < MIN_CROSSCHECK_LEN:
+        raise SlnLabError(f"max_len must be >= {MIN_CROSSCHECK_LEN}")
     for g in S:
         if g.exact is None:
             raise ExactEntriesMissing("all generators need exact entries")
@@ -471,17 +466,17 @@ def exact_freeness_crosscheck(S, max_len: int, node_budget: int = 10**7) -> Cros
     if total > node_budget:
         raise BudgetExceeded(f"{total} words exceed budget {node_budget}")
 
-    letters = [exact.to_scaled(g.exact) for g in S]
-    seen = {}  # canonical scaled matrix -> (first word, multiplicity)
+    letters = [g.exact for g in S]
+    seen = {}  # canonical exact matrix -> (first word, multiplicity)
     witnesses = []
-    frontier = [((), exact.to_scaled(exact.identity(S[0].n)))]
+    frontier = [((), exact.identity(S[0].n))]
     checked = 0
     for _ in range(max_len):
         nxt = []
         for word, mat in frontier:
             for i, letter in enumerate(letters):
                 w = word + (i,)
-                m = exact.scaled_mul(mat, letter)
+                m = exact.mat_mul(mat, letter)
                 nxt.append((w, m))
                 checked += 1
                 if m in seen:

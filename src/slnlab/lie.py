@@ -25,7 +25,8 @@ _RANGE_GUARD = 1e6 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An n x n real unimodular matrix, optionally with exact rational entries."""
+    """An n x n real unimodular matrix, optionally with exact rational entries:
+    exact is None or the (den, rows) pair of ``slnlab.exact``."""
 
     entries: np.ndarray
     exact: tuple | None = None
@@ -63,8 +64,7 @@ class GroupElement:
     def from_matrix(cls, rows, exact_rows=None):
         """Ingest a matrix given as nested lists; exact_rows holds 'p/q' strings."""
         if exact_rows is not None:
-            ex = exact.from_rows([[exact.parse_entry(x) for x in row] for row in exact_rows])
-            return cls(np.array(exact.to_float(ex)), exact=ex)
+            return cls.from_exact(exact_rows)
         return cls(np.asarray(rows, dtype=float))
 
     @classmethod
@@ -134,9 +134,8 @@ def _chamber(logs):
 def _mp_matrix(g):
     """g at the working precision; callers set it with mp.workdps, never mp.dps."""
     if g.exact is not None:
-        return mp.matrix(
-            [[mp.mpf(x.numerator) / mp.mpf(x.denominator) for x in row] for row in g.exact]
-        )
+        rows = exact.from_scaled(g.exact)
+        return mp.matrix([[mp.mpf(x.numerator) / mp.mpf(x.denominator) for x in row] for row in rows])
     # float64 entries are exact binary rationals; no further information to recover
     return mp.matrix([[mp.mpf(float(x)) for x in row] for row in g.entries])
 

@@ -28,6 +28,10 @@ from .lie import (
 from .symshadow import shadows_certified_disjoint
 
 
+DEDUP_POLICIES = ("none", "float", "exact")
+MIN_RADIUS = 1
+
+
 @dataclass(frozen=True)
 class Cone:
     """Round open cone in the positive chamber: unit interior axis plus half-angle."""
@@ -81,9 +85,10 @@ class OrbitBall:
     """A word ball as columns, one row per word.
 
     matrices, k_frames and l_frames are (N, n, n) with matrices[i] = k exp(kappa) l;
-    kappas is (N, n) and norms (N,). exact holds the rational entries of each row,
-    or is None when the generators carry none. Indexing by an integer gives an
-    OrbitRecord; by a slice, index array or mask, the sub-ball of those rows.
+    kappas is (N, n) and norms (N,). exact holds each row's (den, rows) pair of
+    ``slnlab.exact``, or is None when the generators carry none. Indexing by an
+    integer gives an OrbitRecord; by a slice, index array or mask, the sub-ball of
+    those rows.
     """
 
     words: list
@@ -176,9 +181,9 @@ def enumerate_ball(
     carried through the products whenever every generator has them, which keeps
     extended-precision chamber data available for deep words.
     """
-    if radius < 1:
-        raise SlnLabError("radius must be >= 1")
-    if dedup not in ("none", "float", "exact"):
+    if radius < MIN_RADIUS:
+        raise SlnLabError(f"radius must be >= {MIN_RADIUS}")
+    if dedup not in DEDUP_POLICIES:
         raise SlnLabError(f"unknown dedup policy {dedup!r}")
     if dedup == "exact" and any(g.exact is None for g in generators):
         raise DedupUnavailable("exact dedup requires exact entries on all generators")
@@ -187,17 +192,16 @@ def enumerate_ball(
     keys = sorted(letters, key=lambda sgn: (abs(sgn), -sgn))
     arrs = {k: letters[k].entries for k in keys}
     carry_exact = all(g.exact is not None for g in generators)
-    exacts = {k: exact.to_scaled(letters[k].exact) for k in keys} if carry_exact else None
     n = generators[0].n
 
     seen = set()
-    out_words, out_mats, out_exacts = [], [], [] if exacts is not None else None
+    out_words, out_mats, out_exacts = [], [], []
     frontier_words = [()]
     frontier_mats = np.eye(n)[None]
-    frontier_exact = [exact.to_scaled(exact.identity(n))] if exacts is not None else None
+    frontier_exact = [exact.identity(n)]
     nodes = 0
     for _ in range(radius):
-        next_words, next_mats, next_exact = [], [], [] if exacts is not None else None
+        next_words, next_mats, next_exact = [], [], []
         for letter in keys:
             sel = [
                 i
@@ -210,30 +214,22 @@ def enumerate_ball(
             if nodes > node_budget:
                 raise BudgetExceeded(f"ball exceeds {node_budget} nodes")
             children = frontier_mats[sel] @ arrs[letter]
+            letter_exact = letters[letter].exact
             kept = []
             for pos, i in enumerate(sel):
-                ex = None
-                if exacts is not None:
-                    ex = exact.scaled_mul(frontier_exact[i], exacts[letter])
-                if dedup == "exact":
-                    key = ex
-                elif dedup == "float":
-                    key = np.round(children[pos], 9).tobytes()
-                else:
-                    key = None
-                if key is not None:
+                ex = exact.mat_mul(frontier_exact[i], letter_exact) if carry_exact else None
+                if dedup != "none":
+                    key = ex if dedup == "exact" else np.round(children[pos], 9).tobytes()
                     if key in seen:
                         continue
                     seen.add(key)
                 kept.append(pos)
                 next_words.append(frontier_words[i] + (letter,))
-                if next_exact is not None:
-                    next_exact.append(ex)
+                next_exact.append(ex)
             next_mats.append(children[kept])
         out_words.extend(next_words)
         out_mats.extend(next_mats)
-        if exacts is not None:
-            out_exacts.extend(map(exact.from_scaled, next_exact))
+        out_exacts.extend(next_exact)
         frontier_words = next_words
         frontier_mats = np.concatenate(next_mats) if next_mats else np.empty((0, n, n))
         frontier_exact = next_exact
@@ -245,14 +241,14 @@ def enumerate_ball(
     kappas = logs - logs.mean(axis=1, keepdims=True)
     # beyond float64's singular-value range the bulk logs are noise; recompute
     # the chamber vector at extended precision where exact entries allow it
-    if exacts is not None:
+    if carry_exact:
         for i in np.nonzero(s[:, -1] < s[:, 0] * _RANGE_GUARD)[0]:
             g = GroupElement(matrices[i], exact=out_exacts[i], validate=False)
             kappas[i] = cartan_projection(g).coords
     return OrbitBall(
         words=out_words,
         matrices=matrices,
-        exact=out_exacts,
+        exact=out_exacts if carry_exact else None,
         kappas=kappas,
         # bit for bit the CartanVector.norm of each row
         norms=np.sqrt(np.vecdot(kappas, kappas)),

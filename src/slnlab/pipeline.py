@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .contraction import exact_freeness_crosscheck, pingpong_certificate
+from .contraction import MIN_BUDGET, MIN_CROSSCHECK_LEN, exact_freeness_crosscheck, pingpong_certificate
 from .errors import (
     ConfigError,
     NotLoxodromic,
@@ -34,6 +34,8 @@ from .growth import (
 )
 from .lie import GroupElement, is_loxodromic
 from .orbits import (
+    DEDUP_POLICIES,
+    MIN_RADIUS,
     Cone,
     FilterSpec,
     barycentric_axis,
@@ -70,6 +72,21 @@ class PipelineConfig:
     retries: int = 5
     exact_check: int | None = None
     pinned_words: list = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.radius < MIN_RADIUS:
+            raise ConfigError(f"radius must be >= {MIN_RADIUS}, got {self.radius}")
+        if self.sample_budget < MIN_BUDGET:
+            raise ConfigError(f"budgets.samples must be >= {MIN_BUDGET}, got {self.sample_budget}")
+        if self.dedup not in DEDUP_POLICIES:
+            raise ConfigError(f"dedup must be one of {DEDUP_POLICIES}, got {self.dedup!r}")
+
+    def generators(self):
+        """The generators file's matrices, which must be n x n."""
+        gens = load_generators(self.generators_path)
+        if gens[0].n != self.n:
+            raise ConfigError(f"generators are {gens[0].n} x {gens[0].n} matrices, but n = {self.n}")
+        return gens
 
     @classmethod
     def from_dict(cls, d):
@@ -149,7 +166,18 @@ def load_generators(path):
         raise ConfigError(f"bad generator entry: {e}") from e
     if len(gens) < 1:
         raise ConfigError("no generators in file")
+    sizes = sorted({g.n for g in gens})
+    if len(sizes) > 1:
+        raise ConfigError(f"generators mix matrix sizes {sizes}")
     return gens
+
+
+def _check_crosscheck(generators, exact_check):
+    """Refuse, before any search, an exact crosscheck the generators cannot run."""
+    if exact_check is not None and (type(exact_check) is not int or exact_check < MIN_CROSSCHECK_LEN):
+        raise ConfigError(f"exact_check must be an integer >= {MIN_CROSSCHECK_LEN}, got {exact_check!r}")
+    if exact_check is not None and any(g.exact is None for g in generators):
+        raise ConfigError("exact_check needs exact entries on every generator")
 
 
 def _timestamp():
@@ -204,7 +232,7 @@ def _auto_anchors(ball, gap_tol):
 
 def cmd_analyze(config: PipelineConfig):
     """Growth and limit-cone reports for the enumerated ball. Returns the report dict."""
-    gens = load_generators(config.generators_path)
+    gens = config.generators()
     ball = enumerate_ball(
         gens,
         config.radius,
@@ -247,7 +275,8 @@ def cmd_build_semigroup(config: PipelineConfig):
     Returns (certificate, report). Raises SearchExhausted when no annulus within
     the retry budget yields a packed set with selection sum >= 1 that certifies.
     """
-    gens = load_generators(config.generators_path)
+    gens = config.generators()
+    _check_crosscheck(gens, config.exact_check)
     ball = enumerate_ball(
         gens,
         config.radius,
@@ -352,7 +381,7 @@ def cmd_build_semigroup(config: PipelineConfig):
     records_to_jsonl(packed, os.path.join(config.output_dir, "packing.jsonl"))
 
     elements = packed.elements()
-    if config.exact_check and packed.exact is not None:
+    if config.exact_check is not None:
         cert.exact_crosscheck = exact_freeness_crosscheck(elements, config.exact_check)
 
     # keep the word blow-up bounded: |S|^depth <= ~256 words for the checklist
@@ -392,7 +421,8 @@ def cmd_build_semigroup(config: PipelineConfig):
 
 def cmd_certify(generators, epsilon, budget=4000, gap_tol=1e-6, seed=0, exact_check=None):
     """Freeness certificate for an explicit generator list; no search involved."""
+    _check_crosscheck(generators, exact_check)
     cert = pingpong_certificate(generators, epsilon, budget=budget, gap_tol=gap_tol, seed=seed)
-    if exact_check and all(g.exact is not None for g in generators):
+    if exact_check is not None:
         cert.exact_crosscheck = exact_freeness_crosscheck(generators, exact_check)
     return cert

@@ -1,9 +1,14 @@
 import math
 
+from hypothesis import settings
 import numpy as np
 import pytest
 
 from slnlab import GroupElement
+
+# property tests replay one fixed set of examples, without deadlines on a loaded host
+settings.register_profile("slnlab", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("slnlab")
 
 
 def rational_rotation_small():

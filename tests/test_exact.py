@@ -1,24 +1,22 @@
-"""Exact rational arithmetic: the scaled-integer product kernel against Fraction
-arithmetic, and the exact word enumerators against Fraction-keyed references."""
+"""Exact rational arithmetic: the integer kernels of the (den, rows) format against
+Fraction arithmetic, and the exact word enumerators against Fraction-keyed references."""
 
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 import pytest
 
-from slnlab import enumerate_ball, exact_freeness_crosscheck
+from slnlab import SlnLabError, enumerate_ball, exact_freeness_crosscheck
 from slnlab.exact import (
+    from_rows,
     from_scaled,
     identity,
     mat_det,
     mat_inv,
     mat_mul,
-    scaled_mul,
-    to_scaled,
+    to_float,
 )
-
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 entries = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
 
@@ -35,78 +33,166 @@ def matrix_triples(draw):
     return tuple(draw(matrices(n)) for _ in range(3))
 
 
+def fraction_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
 def fraction_mul(a, b):
     """The entrywise sum of Fraction products."""
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
 
 
+def fraction_det(a):
+    """Determinant by elimination over Fractions, the loop mat_det used to run."""
+    n = len(a)
+    m = [list(row) for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] * inv
+            if f:
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def fraction_inv(a):
+    """Inverse by Gauss-Jordan elimination over Fractions, the loop mat_inv used to run."""
+    n = len(a)
+    m = [list(row) + list(fraction_identity(n)[i]) for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def has_no_common_factor(a):
+    den, rows = a
+    return den > 0 and gcd(den, *(x for row in rows for x in row)) == 1
+
+
 class TestScaledKernel:
-    @PROPERTY
     @given(matrix_triples())
     def test_product_equals_fraction_product(self, abc):
         a, b, _ = abc
-        assert from_scaled(scaled_mul(to_scaled(a), to_scaled(b))) == fraction_mul(a, b)
-        assert mat_mul(a, b) == fraction_mul(a, b)
+        product = mat_mul(from_rows(a), from_rows(b))
+        assert from_scaled(product) == fraction_mul(a, b)
+        assert product == from_rows(fraction_mul(a, b))
 
-    @PROPERTY
     @given(matrices())
     def test_round_trip_is_identity(self, a):
-        assert from_scaled(to_scaled(a)) == a
+        assert from_scaled(from_rows(a)) == a
 
-    @PROPERTY
     @given(matrices(), st.integers(2, 10**6))
     def test_common_factor_reduces_to_the_same_key(self, a, factor):
-        den, rows = to_scaled(a)
+        den, rows = from_rows(a)
         inflated = (den * factor, tuple(tuple(x * factor for x in row) for row in rows))
         assert from_scaled(inflated) == a
-        assert scaled_mul(inflated, to_scaled(identity(len(a)))) == to_scaled(a)
+        assert mat_mul(inflated, identity(len(a))) == from_rows(a)
 
-    @PROPERTY
     @given(matrix_triples())
     def test_keys_equal_exactly_when_rationals_equal(self, abc):
         a, b, c = abc
         # both groupings give one rational matrix through different denominators
-        left = scaled_mul(scaled_mul(to_scaled(a), to_scaled(b)), to_scaled(c))
-        right = scaled_mul(to_scaled(a), scaled_mul(to_scaled(b), to_scaled(c)))
-        assert left == right == to_scaled(fraction_mul(fraction_mul(a, b), c))
-        assert (to_scaled(a) == to_scaled(b)) == (a == b)
+        left = mat_mul(mat_mul(from_rows(a), from_rows(b)), from_rows(c))
+        right = mat_mul(from_rows(a), mat_mul(from_rows(b), from_rows(c)))
+        assert left == right == from_rows(fraction_mul(fraction_mul(a, b), c))
+        assert (from_rows(a) == from_rows(b)) == (a == b)
         # moving one entry by a unit fraction over another entry's denominator
         i = len(a) - 1
         moved = a[:i] + ((a[i][0] + Fraction(1, a[0][0].denominator),) + a[i][1:],)
-        assert to_scaled(moved) != to_scaled(a)
+        assert from_rows(moved) != from_rows(a)
 
-    @PROPERTY
-    @given(matrices())
-    def test_key_has_no_common_factor(self, a):
-        den, rows = to_scaled(a)
-        assert den > 0
-        assert gcd(den, *(x for row in rows for x in row)) == 1
+    @given(matrix_triples())
+    def test_key_has_no_common_factor(self, abc):
+        a, b, _ = abc
+        assert has_no_common_factor(from_rows(a))
+        assert has_no_common_factor(mat_mul(from_rows(a), from_rows(b)))
+        assert has_no_common_factor(identity(len(a)))
 
 
 class TestInverseAndDeterminant:
-    @PROPERTY
+    @given(matrices())
+    def test_determinant_equals_fraction_elimination(self, a):
+        assert mat_det(from_rows(a)) == fraction_det(a)
+
+    @given(matrices())
+    def test_inverse_equals_fraction_elimination(self, a):
+        assume(fraction_det(a) != 0)
+        inv = mat_inv(from_rows(a))
+        assert from_scaled(inv) == fraction_inv(a)
+        assert has_no_common_factor(inv)
+
     @given(matrices())
     def test_inverse_times_matrix_is_identity(self, a):
-        assume(mat_det(a) != 0)
-        assert mat_mul(mat_inv(a), a) == identity(len(a))
+        assume(fraction_det(a) != 0)
+        assert mat_mul(mat_inv(from_rows(a)), from_rows(a)) == identity(len(a))
 
-    @PROPERTY
     @given(matrix_triples())
     def test_determinant_is_multiplicative(self, abc):
         a, b, _ = abc
-        assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
+        assert mat_det(mat_mul(from_rows(a), from_rows(b))) == mat_det(from_rows(a)) * mat_det(from_rows(b))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_zero_pivots_take_row_swaps(self, n):
+        # the reversed identity with a rational last row: every leading entry is 0
+        rows = [[Fraction(int(i + j == n - 1)) for j in range(n)] for i in range(n - 1)]
+        rows.append([Fraction(1)] + [Fraction(j, 7) for j in range(1, n)])
+        a = from_rows(rows)
+        assert mat_det(a) == fraction_det(rows) != 0
+        assert from_scaled(mat_inv(a)) == fraction_inv(rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_singular_inverse_raises(self, n):
+        rows = [[Fraction(i + 1, 3) * (j + 1) for j in range(n)] for i in range(n)]
+        with pytest.raises(SlnLabError):
+            mat_inv(from_rows(rows))
+
+
+class TestFloatImage:
+    def test_each_entry_is_the_rounded_fraction(self, strong_rational_pair):
+        d, conj = strong_rational_pair
+        word = identity(2)
+        for g in [d, conj, conj, d, conj, d] * 2:
+            word = mat_mul(word, g.exact)
+        assert word[0] > 2**53  # the denominator alone does not fit a float exactly
+        # numerators and a denominator past the float range: only the quotient of the
+        # integers, not of their floats, rounds right
+        huge = (3 * 10**399, ((10**400 + 1, 1), (2**1100 + 1, 3 * 10**399)))
+        for den, rows in (word, huge):
+            got = to_float((den, rows))
+            want = [[float(Fraction(x, den)) for x in row] for row in rows]
+            assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+
+    @given(matrices())
+    def test_float_image_matches_fraction_floats(self, a):
+        assert to_float(from_rows(a)) == [[float(x) for x in row] for row in a]
 
 
 def reference_crosscheck(S, max_len):
     """Collision count over Fraction-keyed words, the loop the crosscheck used to run."""
     seen, witnesses, checked = {}, [], 0
-    frontier = [((), identity(S[0].n))]
+    frontier = [((), fraction_identity(S[0].n))]
     for _ in range(max_len):
         nxt = []
         for word, mat in frontier:
             for i, g in enumerate(S):
-                w, m = word + (i,), fraction_mul(mat, g.exact)
+                w, m = word + (i,), fraction_mul(mat, from_scaled(g.exact))
                 nxt.append((w, m))
                 checked += 1
                 if m in seen:
@@ -122,8 +208,8 @@ def reference_crosscheck(S, max_len):
 
 def fraction_dedup_ball(generators, radius):
     """Words and entries of enumerate_ball(dedup='exact') on positive words, keyed on Fractions."""
-    letters = [(k + 1, g.exact) for k, g in enumerate(generators)]
-    seen, out, frontier = set(), [], [((), identity(generators[0].n))]
+    letters = [(k + 1, from_scaled(g.exact)) for k, g in enumerate(generators)]
+    seen, out, frontier = set(), [], [((), fraction_identity(generators[0].n))]
     for _ in range(radius):
         nxt = []
         for letter, g in letters:
@@ -166,5 +252,5 @@ class TestCrosscheckAgainstFractionReference:
         ball = enumerate_ball(S, 7, dedup="exact")
         ref = fraction_dedup_ball(S, 7)
         assert ball.words == [w for w, _ in ref]
-        assert ball.exact == [m for _, m in ref]
+        assert ball.exact == [from_rows(m) for _, m in ref]
         assert len(ball) < 2**8 - 2

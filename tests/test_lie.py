@@ -69,9 +69,10 @@ class TestGroupElement:
             GroupElement.from_matrix([[1, 0, 0], [0, 1, 0]])
 
     def test_exact_entries_must_match_float_image(self):
+        diag = (2, ((4, 0), (0, 1)))  # diag(2, 1/2) as integer rows over one denominator
+        assert GroupElement(np.array([[2.0, 0.0], [0.0, 0.5]]), exact=diag).exact == diag
         with pytest.raises(SlnLabError):
-            GroupElement(np.array([[2.0, 0.0], [0.0, 0.5000001]]),
-                         exact=(((2, 0)), ((0, 0.5))))
+            GroupElement(np.array([[2.0, 0.0], [0.0, 0.5000001]]), exact=diag)
 
     def test_exact_inverse_stays_exact(self):
         g = GroupElement.from_exact([[1, 2], [0, 1]])

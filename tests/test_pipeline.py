@@ -25,6 +25,32 @@ STRONG_RATIONAL = {"n": 2, "generators": [
 ]}
 
 
+FLOAT_SANOV = [g["matrix"] for g in SANOV["generators"]]
+FLOAT_STRONG = [g["matrix"] for g in STRONG_RATIONAL["generators"]]
+MIXED_SIZES = [[[1, 2], [0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
+
+# (generators, config overrides, command): each is a fault of the config or of the
+# generator file, found before any search
+CONFIG_FAULTS = {
+    "n 3 on 2x2 generators, analyze": (SANOV, {"n": 3}, "analyze"),
+    "n 3 on 2x2 generators, build": (SANOV, {"n": 3}, "build-semigroup"),
+    "n 3 on 2x2 generators, certify": (STRONG_RATIONAL, {"n": 3, "epsilon": 0.1}, "certify"),
+    "mixed sizes, analyze": (MIXED_SIZES, {}, "analyze"),
+    "mixed sizes, certify": (MIXED_SIZES, {"epsilon": 0.1}, "certify"),
+    "exact_check a string, certify": (STRONG_RATIONAL, {"epsilon": 0.1, "exact_check": "8"}, "certify"),
+    "exact_check a string, build": (SANOV, {"exact_check": "8"}, "build-semigroup"),
+    "unknown dedup": (SANOV, {"dedup": "bogus"}, "analyze"),
+    "exact dedup on float generators, analyze": (FLOAT_SANOV, {"dedup": "exact"}, "analyze"),
+    "exact dedup on float generators, build": (FLOAT_SANOV, {"dedup": "exact"}, "build-semigroup"),
+    "radius 0": (SANOV, {"radius": 0}, "analyze"),
+    "samples below the floor, certify": (
+        STRONG_RATIONAL, {"epsilon": 0.1, "budgets": {"samples": 10}}, "certify"
+    ),
+    "samples below the floor, build": (SANOV, {"budgets": {"samples": 10}}, "build-semigroup"),
+    "exact_check on float generators, build": (FLOAT_SANOV, {"exact_check": 6}, "build-semigroup"),
+}
+
+
 def write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh)
@@ -97,6 +123,22 @@ class TestAnalyze:
 
         assert cli_main(["analyze"]) == 2  # missing --config
 
+    @pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+    def test_cli_config_faults_exit_2(self, tmp_path, capsys, fault):
+        gens, overrides, command = CONFIG_FAULTS[fault]
+        cfg_path = base_config(tmp_path, gens, **overrides)
+        assert cli_main([command, "--config", cfg_path]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("analyze", ["--radius", "0"]), ("certify", ["--epsilon", "0.1", "--exact-check", "1"])],
+    )
+    def test_cli_flag_faults_exit_2(self, tmp_path, command, flags):
+        cfg_path = base_config(tmp_path, STRONG_RATIONAL)
+        assert cli_main([command, "--config", cfg_path, *flags]) == 2
+
     def test_budget_exit(self, tmp_path):
         cfg_path = base_config(tmp_path, SANOV, radius=14, budgets={"nodes": 500})
         assert cli_main(["analyze", "--config", cfg_path]) == 3
@@ -113,6 +155,14 @@ class TestCertifyCommand:
         cert = json.loads((tmp_path / "cert" / "certificate.json").read_text())
         assert cert["verdict"] == "pass"
         assert cert["exact_crosscheck"]["collisions"] == 0
+
+    def test_exact_check_needs_exact_entries(self, tmp_path, capsys):
+        gens_path = write_json(tmp_path / "g.json", FLOAT_STRONG)
+        code = cli_main(
+            ["certify", "--generators", gens_path, "--epsilon", "0.1", "--exact-check", "8"]
+        )
+        assert code == 2
+        assert "exact entries" in capsys.readouterr().err
 
     def test_config_settings_reach_the_certificate(self, tmp_path):
         cfg_path = base_config(
