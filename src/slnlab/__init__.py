@@ -14,6 +14,7 @@ from .contraction import (
     check_contracting,
     contraction_criterion,
     exact_freeness_crosscheck,
+    freeness_certificate,
     pingpong_certificate,
     shadow_inclusion_check,
     shadow_membership,

@@ -39,6 +39,7 @@ from .sampling import band_flags_near, element_seed, perturbed_partners, rng_for
 LIPSCHITZ_SAFETY = 1.5
 DEFAULT_BUDGET = 4000
 MIN_BUDGET = 1000
+MAX_EPSILON = 1.0  # a contraction scale lies in (0, MAX_EPSILON)
 MIN_CROSSCHECK_LEN = 2
 DEFAULT_GAP_TOL = 1e-6
 
@@ -242,8 +243,8 @@ def check_contracting(
     verified on a seeded sample of the admissible region, boundary-biased where
     contraction is weakest. The verdict is a numerical witness, not a proof.
     """
-    if not 0 < epsilon < 1:
-        raise SlnLabError("epsilon must be in (0, 1)")
+    if not 0 < epsilon < MAX_EPSILON:
+        raise SlnLabError(f"epsilon must be in (0, {MAX_EPSILON:g})")
     if budget < MIN_BUDGET:
         raise SlnLabError(f"budget must be >= {MIN_BUDGET} samples")
 
@@ -394,22 +395,41 @@ def pingpong_certificate(
     gap_tol: float = DEFAULT_GAP_TOL,
     seed: int = 0,
 ) -> FreenessCertificate:
-    """Certify a generator list: contraction per generator, pairwise separation of
-    attracting-from-repelling data at 6*epsilon, and attracting-center separation
-    beyond 2*epsilon. A pass witnesses freeness of the generated semigroup with
-    every element contracting at epsilon or 2*epsilon.
+    """Certify a generator list: check each generator with check_contracting, then
+    assemble the ping-pong certificate with freeness_certificate.
+
+    A generator that is not loxodromic raises NotLoxodromic carrying its index in S.
     """
     S = list(S)
     if len(S) < 2:
         raise SlnLabError("need at least two generators")
     certs = []
-    failures = []
     for i, g in enumerate(S):
         try:
             certs.append(check_contracting(g, epsilon, budget, gap_tol, seed))
         except NotLoxodromic as e:
             raise NotLoxodromic(index=i) from e
-    k = len(S)
+    return freeness_certificate(certs, epsilon, seed)
+
+
+def freeness_certificate(certs, epsilon: float, seed: int = 0) -> FreenessCertificate:
+    """Assemble the ping-pong certificate from per-generator contraction certificates.
+
+    certs are check_contracting results at this epsilon, in generator order, each
+    carrying its element. check_contracting is deterministic in (g, epsilon, budget,
+    gap_tol, seed), so a result kept from an earlier call serves as well as a fresh
+    one. The verdict asks every certificate to pass, the pairwise separation of
+    attracting-from-repelling data to reach 6*epsilon, and the attracting centers
+    to lie more than 2*epsilon apart. A pass witnesses freeness of the generated
+    semigroup with every element contracting at epsilon or 2*epsilon.
+    """
+    certs = list(certs)
+    if len(certs) < 2:
+        raise SlnLabError("need at least two generators")
+    if any(c.element is None or c.epsilon != epsilon for c in certs):
+        raise SlnLabError("each certificate must be at this epsilon and carry its element")
+    k = len(certs)
+    failures = []
     sep = np.zeros((k, k))
     dis = np.zeros((k, k))
     for i in range(k):
@@ -439,7 +459,7 @@ def pingpong_certificate(
 
     return FreenessCertificate(
         epsilon=epsilon,
-        generators=S,
+        generators=[c.element for c in certs],
         per_generator=certs,
         pairwise_separation=sep,
         shadow_disjointness=dis,

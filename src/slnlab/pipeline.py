@@ -15,7 +15,15 @@ import os
 
 import numpy as np
 
-from .contraction import MIN_BUDGET, MIN_CROSSCHECK_LEN, exact_freeness_crosscheck, pingpong_certificate
+from .contraction import (
+    MAX_EPSILON,
+    MIN_BUDGET,
+    MIN_CROSSCHECK_LEN,
+    check_contracting,
+    exact_freeness_crosscheck,
+    freeness_certificate,
+    pingpong_certificate,
+)
 from .errors import (
     ConfigError,
     NotLoxodromic,
@@ -80,6 +88,7 @@ class PipelineConfig:
             raise ConfigError(f"budgets.samples must be >= {MIN_BUDGET}, got {self.sample_budget}")
         if self.dedup not in DEDUP_POLICIES:
             raise ConfigError(f"dedup must be one of {DEDUP_POLICIES}, got {self.dedup!r}")
+        _check_scales(self.epsilon, self.gap_tol)
 
     def generators(self):
         """The generators file's matrices, which must be n x n."""
@@ -170,6 +179,14 @@ def load_generators(path):
     if len(sizes) > 1:
         raise ConfigError(f"generators mix matrix sizes {sizes}")
     return gens
+
+
+def _check_scales(epsilon, gap_tol):
+    """Refuse, before any search, a contraction scale or loxodromy gap the library rejects."""
+    if not 0 < epsilon < MAX_EPSILON:
+        raise ConfigError(f"epsilon must be in (0, {MAX_EPSILON:g}), got {epsilon}")
+    if not gap_tol > 0:
+        raise ConfigError(f"gap_tol must be positive, got {gap_tol}")
 
 
 def _check_crosscheck(generators, exact_check):
@@ -269,6 +286,47 @@ def cmd_analyze(config: PipelineConfig):
     return report
 
 
+def _pack_and_certify(candidates, config, pinned_words, checked):
+    """One round's outcome on a candidate set: (packed, round fields, certificate).
+
+    The certificate is the passing FreenessCertificate, or None when the round
+    fails; the fields are the round's report entries after ``candidates``.
+    checked maps each word checked so far to its contraction certificate or its
+    NotLoxodromic, and gains the words this round checks.
+    """
+    pinned = candidates[[w in pinned_words for w in candidates.words]]
+    packed = greedy_disjoint_pack(candidates, config.shadow_radius, forced=pinned[:2])
+    fields = {"packed": len(packed)}
+    if len(packed) < 2:
+        fields["failure"] = "fewer than 2 packed candidates"
+        return packed, fields, None
+    sum_val = generator_sum_condition(packed.norms, config.target_delta)
+    fields["selection_sum"] = sum_val
+    if sum_val < 1.0:
+        fields["failure"] = f"selection sum {sum_val:.6f} < 1"
+        return packed, fields, None
+    certs = []
+    for i, (word, g) in enumerate(zip(packed.words, packed.elements())):
+        if word not in checked:
+            try:
+                checked[word] = check_contracting(
+                    g, config.epsilon, config.sample_budget, config.gap_tol, config.seed
+                )
+            except NotLoxodromic as e:
+                checked[word] = e
+        if isinstance(checked[word], NotLoxodromic):
+            # pingpong_certificate's report: the index in this packed list
+            fields["failure"] = str(NotLoxodromic(index=i))
+            return packed, fields, None
+        certs.append(checked[word])
+    cert = freeness_certificate(certs, config.epsilon, config.seed)
+    fields["certificate_verdict"] = cert.verdict
+    if not cert.passed:
+        fields["failure"] = "; ".join(cert.failures[:4])
+        return packed, fields, None
+    return packed, fields, cert
+
+
 def cmd_build_semigroup(config: PipelineConfig):
     """Search annuli for a certified free generating set; honest failure otherwise.
 
@@ -305,6 +363,11 @@ def cmd_build_semigroup(config: PipelineConfig):
     chosen = None
     pinned_words = set(map(tuple, config.pinned_words))
 
+    # Both checks are deterministic in their inputs, so each runs once per call:
+    # one contraction check per packed word and one round outcome per candidate set.
+    checked = {}   # word -> ContractionCertificate | NotLoxodromic
+    outcomes = {}  # candidate words -> (packed, round fields, passing certificate)
+
     for attempt in range(config.retries + 1):
         round_info = {"attempt": attempt, "n_min": n_min, "width": width}
         try:
@@ -315,37 +378,15 @@ def cmd_build_semigroup(config: PipelineConfig):
             raise ConfigError(str(e)) from e
         kept = filter_gamma_set(ball, spec)
         candidates = kept[[is_loxodromic(g, config.gap_tol) for g in kept.elements()]]
-        round_info["candidates"] = len(candidates)
-        pinned = candidates[[w in pinned_words for w in candidates.words]]
-        packed = greedy_disjoint_pack(candidates, config.shadow_radius, forced=pinned[:2])
-        round_info["packed"] = len(packed)
-        if len(packed) >= 2:
-            sum_val = generator_sum_condition(packed.norms, config.target_delta)
-            round_info["selection_sum"] = sum_val
-            if sum_val >= 1.0:
-                try:
-                    cert = pingpong_certificate(
-                        packed.elements(),
-                        config.epsilon,
-                        budget=config.sample_budget,
-                        gap_tol=config.gap_tol,
-                        seed=config.seed,
-                    )
-                except NotLoxodromic as e:
-                    cert = None
-                    round_info["failure"] = str(e)
-                if cert is not None:
-                    round_info["certificate_verdict"] = cert.verdict
-                    if cert.passed:
-                        chosen = (packed, cert, sum_val)
-                        rounds.append(round_info)
-                        break
-                    round_info["failure"] = "; ".join(cert.failures[:4])
-            else:
-                round_info["failure"] = f"selection sum {sum_val:.6f} < 1"
-        else:
-            round_info["failure"] = "fewer than 2 packed candidates"
+        key = tuple(candidates.words)
+        if key not in outcomes:
+            outcomes[key] = _pack_and_certify(candidates, config, pinned_words, checked)
+        packed, fields, cert = outcomes[key]
+        round_info.update(candidates=len(candidates), **fields)
         rounds.append(round_info)
+        if cert is not None:
+            chosen = (packed, cert, fields["selection_sum"])
+            break
         width *= 2.0
         n_min = max(n_min - 0.25 * width, 0.0) if len(packed) < 2 else n_min
 
@@ -421,6 +462,7 @@ def cmd_build_semigroup(config: PipelineConfig):
 
 def cmd_certify(generators, epsilon, budget=4000, gap_tol=1e-6, seed=0, exact_check=None):
     """Freeness certificate for an explicit generator list; no search involved."""
+    _check_scales(epsilon, gap_tol)
     _check_crosscheck(generators, exact_check)
     cert = pingpong_certificate(generators, epsilon, budget=budget, gap_tol=gap_tol, seed=seed)
     if exact_check is not None:

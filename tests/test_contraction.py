@@ -9,11 +9,13 @@ from slnlab import (
     GroupElement,
     HypothesisViolated,
     NotLoxodromic,
+    SlnLabError,
     attracting_flag,
     check_contracting,
     contraction_criterion,
     exact_freeness_crosscheck,
     flag_distance,
+    freeness_certificate,
     opposite_distance,
     pingpong_certificate,
     repelling_flag,
@@ -262,6 +264,33 @@ class TestPingpongCertificate:
             # so the balls of radius 2*eps around them cannot merge only if the
             # extensions end differently; check repelling separation instead
             assert opposite_distance(e1.repelling, e2.repelling) > 2 * eps
+
+    @pytest.mark.parametrize("pair", ["strong rational", "SL(3) sixth powers"])
+    def test_assembly_from_checks_is_the_certificate(self, strong_rational_pair, pair):
+        # the SL(3) pair of the golden certificate fails four clauses, so to_dict also
+        # compares the order and text of the failures
+        if pair == "strong rational":
+            S, eps, kw = strong_rational_pair, 0.1, {"budget": 1200, "seed": 5}
+        else:
+            a = GroupElement.from_exact([[1, 1, 0], [1, 2, 1], [0, 1, 2]])
+            b = GroupElement.from_exact([[2, 0, 1], [1, 1, 1], [1, 0, 1]])
+            S = [GroupElement.from_matrix(np.linalg.matrix_power(g.entries, 6)) for g in (a, b)]
+            eps, kw = 0.1, {"budget": 1000, "seed": 3}
+        whole = pingpong_certificate(S, eps, **kw)
+        certs = [check_contracting(g, eps, kw["budget"], seed=kw["seed"]) for g in S]
+        assembled = freeness_certificate(certs, eps, kw["seed"])
+        assert assembled.to_dict() == whole.to_dict()
+        assert (pair == "strong rational") == assembled.passed
+
+    def test_assembly_needs_elements_at_its_epsilon(self, strong_rational_pair):
+        certs = [check_contracting(g, 0.1) for g in strong_rational_pair]
+        with pytest.raises(SlnLabError):
+            freeness_certificate(certs[:1], 0.1)
+        reloaded = [type(c).from_dict(c.to_dict()) for c in certs]
+        with pytest.raises(SlnLabError):
+            freeness_certificate(reloaded, 0.1)
+        with pytest.raises(SlnLabError):
+            freeness_certificate(certs, 0.05)
 
     def test_roundtrip_and_revalidation(self, strong_rational_pair):
         cert = pingpong_certificate(strong_rational_pair, 0.1)

@@ -5,12 +5,24 @@ The files under tests/golden/ hold the outputs of small fixed runs, with the
 ``generated_at`` timestamp removed from each report. A refactor or speed-up must
 leave them unchanged. A change that fixes a bug and so must move them regenerates
 them with ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+The Sanov build repeats one candidate set over four rounds, so it also checks that
+a build certifies each packed word and packs each candidate set once.
 """
 
+from collections import Counter
 import json
 import os
 
-from slnlab import GroupElement, pingpong_certificate
+from slnlab import (
+    GroupElement,
+    NotLoxodromic,
+    SearchExhausted,
+    cmd_build_semigroup,
+    contraction,
+    pingpong_certificate,
+    pipeline,
+)
+from slnlab.pipeline import PipelineConfig
 from slnlab.cli import main as cli_main
 from test_pipeline import SANOV, STRONG_RATIONAL
 
@@ -114,6 +126,67 @@ def test_outputs_match_golden_files(tmp_path):
     assert sorted(fresh) == sorted(golden)
     changed = [name for name in sorted(golden) if fresh[name] != golden[name]]
     assert not changed, f"outputs differ from tests/golden/: {changed}"
+
+
+def _golden_sanov_rounds(tmp_path):
+    """Run the golden Sanov build in-process; returns its report's rounds."""
+    sanov_path = os.path.join(tmp_path, "sanov.json")
+    _write_json(sanov_path, SANOV)
+    config = PipelineConfig.from_dict(dict(SANOV_CONFIG, generators_path=sanov_path, output_dir=str(tmp_path)))
+    try:
+        cmd_build_semigroup(config)
+    except SearchExhausted:
+        pass
+    with open(os.path.join(tmp_path, "report.json")) as fh:
+        return json.load(fh)["rounds"]
+
+
+def _count_calls(fn, counter, key):
+    def wrapper(*args, **kwargs):
+        counter[key(args[0])] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _patch_check(monkeypatch, check):
+    # pingpong_certificate looks the check up in contraction, the build in pipeline
+    monkeypatch.setattr(contraction, "check_contracting", check)
+    monkeypatch.setattr(pipeline, "check_contracting", check, raising=False)
+
+
+def test_build_checks_each_word_and_candidate_set_once(tmp_path, monkeypatch):
+    checked, packed = Counter(), Counter()
+    _patch_check(monkeypatch, _count_calls(contraction.check_contracting, checked, lambda g: g.entries.tobytes()))
+    monkeypatch.setattr(
+        pipeline, "greedy_disjoint_pack", _count_calls(pipeline.greedy_disjoint_pack, packed, lambda c: tuple(c.words))
+    )
+    rounds = _golden_sanov_rounds(tmp_path)
+    assert len(rounds) > len(packed) > 1 and checked
+    assert set(packed.values()) == {1}
+    assert set(checked.values()) == {1}
+
+
+def test_build_reports_a_kept_non_loxodromic_check_by_index(tmp_path, monkeypatch):
+    calls = Counter()
+    original = contraction.check_contracting
+
+    # the second word checked, which every packing picks second, fails the check's
+    # own loxodromy test
+    def check(g, *args, **kwargs):
+        key = g.entries.tobytes()
+        calls[key] += 1
+        if list(calls).index(key) == 1:
+            raise NotLoxodromic()
+        return original(g, *args, **kwargs)
+
+    _patch_check(monkeypatch, check)
+    rounds = _golden_sanov_rounds(tmp_path)
+    failed = [r for r in rounds if r["packed"] >= 2]
+    assert len(failed) == 5
+    for r in failed:
+        assert r["failure"] == "element is not loxodromic (generator index 1)"
+        assert "certificate_verdict" not in r
+    assert sorted(calls.values()) == [1, 1]
 
 
 if __name__ == "__main__":

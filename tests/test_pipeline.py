@@ -48,6 +48,12 @@ CONFIG_FAULTS = {
     ),
     "samples below the floor, build": (SANOV, {"budgets": {"samples": 10}}, "build-semigroup"),
     "exact_check on float generators, build": (FLOAT_SANOV, {"exact_check": 6}, "build-semigroup"),
+    "epsilon 1.5, certify": (STRONG_RATIONAL, {"epsilon": 1.5}, "certify"),
+    "epsilon 1, build": (SANOV, {"epsilon": 1.0}, "build-semigroup"),
+    "epsilon 0, build": (SANOV, {"epsilon": 0.0}, "build-semigroup"),
+    "gap_tol 0, analyze": (SANOV, {"gap_tol": 0.0}, "analyze"),
+    "gap_tol 0, certify": (STRONG_RATIONAL, {"epsilon": 0.1, "gap_tol": 0.0}, "certify"),
+    "gap_tol negative, build": (SANOV, {"gap_tol": -1e-6}, "build-semigroup"),
 }
 
 
@@ -133,7 +139,11 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "command, flags",
-        [("analyze", ["--radius", "0"]), ("certify", ["--epsilon", "0.1", "--exact-check", "1"])],
+        [
+            ("analyze", ["--radius", "0"]),
+            ("certify", ["--epsilon", "0.1", "--exact-check", "1"]),
+            ("certify", ["--epsilon", "1.5"]),
+        ],
     )
     def test_cli_flag_faults_exit_2(self, tmp_path, command, flags):
         cfg_path = base_config(tmp_path, STRONG_RATIONAL)
@@ -163,6 +173,11 @@ class TestCertifyCommand:
         )
         assert code == 2
         assert "exact entries" in capsys.readouterr().err
+
+    def test_epsilon_outside_unit_interval_exits_2(self, tmp_path, capsys):
+        gens_path = write_json(tmp_path / "g.json", STRONG_RATIONAL)
+        assert cli_main(["certify", "--generators", gens_path, "--epsilon", "1.5"]) == 2
+        assert "epsilon must be in (0, 1)" in capsys.readouterr().err
 
     def test_config_settings_reach_the_certificate(self, tmp_path):
         cfg_path = base_config(
