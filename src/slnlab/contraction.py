@@ -5,11 +5,15 @@ non-transversality locus into a small ball around its attracting flag, with a sm
 Lipschitz constant, and has well-separated fixed data. Certificates here are
 numerical witnesses of those three conditions at a given epsilon: the separation is
 a closed-form margin computation, the image and Lipschitz conditions are verified by
-seeded Monte Carlo with boundary-biased sampling. The exact crosscheck validates
-freeness independently by exhaustive rational-word enumeration at bounded length.
+seeded Monte Carlo with boundary-biased sampling. Every verdict is the conjunction of
+its certificate's clauses, each a stored margin against a threshold, and each failure
+is a failing clause's text. The exact crosscheck validates freeness independently by
+exhaustive rational-word enumeration at bounded length.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import permutations
+import operator
 
 import numpy as np
 
@@ -29,8 +33,10 @@ from .flags import (
     batch_projector_distance,
     batch_transversality_margin,
     fixed_flags,
+    flag_distance,
     flag_from_json,
     flag_to_json,
+    opposite_distance,
     transversality_margin,
 )
 from .lie import GroupElement
@@ -42,6 +48,32 @@ MIN_BUDGET = 1000
 MAX_EPSILON = 1.0  # a contraction scale lies in (0, MAX_EPSILON)
 MIN_CROSSCHECK_LEN = 2
 DEFAULT_GAP_TOL = 1e-6
+
+# comparison -> (test, the text of its negation)
+_OPS = {">=": (operator.ge, "<"), "<=": (operator.le, ">"), ">": (operator.gt, "<=")}
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One condition of a certificate: value op threshold must hold."""
+
+    name: str
+    value: float
+    op: str  # '>=' | '<=' | '>'
+    threshold: float
+
+    @property
+    def holds(self):
+        return _OPS[self.op][0](self.value, self.threshold)
+
+    def __str__(self):
+        return f"{self.name}={self.value:.4f} {_OPS[self.op][1]} {self.threshold:.4f}"
+
+
+def evaluate_clauses(clauses):
+    """(verdict, failures): pass iff every clause holds; the failing clauses' texts."""
+    failures = [str(c) for c in clauses if not c.holds]
+    return ("fail" if failures else "pass"), failures
 
 
 @dataclass
@@ -65,45 +97,31 @@ class ContractionCertificate:
     def passed(self):
         return self.verdict == "pass"
 
+    def clauses(self):
+        return [
+            Clause("margin_a", self.margin_a, ">=", 0.0),
+            Clause("image_radius", self.image_radius, "<=", self.epsilon),
+            Clause("lipschitz_bound", self.lipschitz_bound, "<=", self.epsilon),
+        ]
+
     def recheck_verdict(self):
         """Re-derive the verdict from the stored margins alone."""
-        ok = (
-            self.margin_a >= 0.0
-            and self.image_radius <= self.epsilon
-            and self.lipschitz_bound <= self.epsilon
-        )
-        return "pass" if ok else "fail"
+        return evaluate_clauses(self.clauses())[0]
 
     def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "element_id": self.element_id,
-            "attracting": flag_to_json(self.attracting),
-            "repelling": flag_to_json(self.repelling),
-            "margin_a": self.margin_a,
-            "image_radius": self.image_radius,
-            "lipschitz_bound": self.lipschitz_bound,
-            "samples": self.samples,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "element"}
+        for name in ("attracting", "repelling"):
+            d[name] = flag_to_json(d[name])
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            epsilon=d["epsilon"],
-            element_id=d["element_id"],
-            attracting=flag_from_json(d["attracting"]),
-            repelling=flag_from_json(d["repelling"]),
-            margin_a=d["margin_a"],
-            image_radius=d["image_radius"],
-            lipschitz_bound=d["lipschitz_bound"],
-            samples=d["samples"],
-            verdict=d["verdict"],
-            seed=d.get("seed", 0),
-            budget=d.get("budget", DEFAULT_BUDGET),
-        )
+        """A missing seed or budget takes its default; any other missing field is a KeyError."""
+        stored = [f for f in fields(cls) if f.name != "element"]
+        kw = {f.name: d[f.name] for f in stored if f.name in d or f.default is MISSING}
+        for name in ("attracting", "repelling"):
+            kw[name] = flag_from_json(kw[name])
+        return cls(**kw)
 
 
 @dataclass
@@ -129,11 +147,11 @@ class CrosscheckReport:
 class FreenessCertificate:
     """Ping-pong witness: per-generator certificates plus pairwise margins.
 
-    pass requires every generator certificate to pass, every off-diagonal
-    pairwise separation to reach 6*epsilon, and every off-diagonal pair of
-    attracting centers to be more than 2*epsilon apart (shadows of radius
-    >= epsilon sit inside the epsilon-balls of their centers, so separated
-    centers force disjoint shadows).
+    The verdict is the conjunction of every generator certificate's clauses and,
+    for each off-diagonal pair, a pairwise separation reaching 6*epsilon and
+    attracting centers more than 2*epsilon apart (shadows of radius >= epsilon sit
+    inside the epsilon-balls of their centers, so separated centers force disjoint
+    shadows). Each failure is the text of a failing clause, generators first.
     """
 
     epsilon: float
@@ -150,18 +168,31 @@ class FreenessCertificate:
     def passed(self):
         return self.verdict == "pass"
 
+    def clauses(self):
+        """The pairwise clauses over off-diagonal (i, j), separation before disjointness."""
+        sep, dis, eps = self.pairwise_separation, self.shadow_disjointness, self.epsilon
+        return [
+            clause
+            for i, j in permutations(range(len(self.per_generator)), 2)
+            for clause in (
+                Clause(f"pairwise_separation[{i}][{j}]", sep[i, j], ">=", 6 * eps),
+                Clause(f"shadow_disjointness[{i}][{j}]", dis[i, j], ">", 2 * eps),
+            )
+        ]
+
+    def evaluate(self):
+        """(verdict, failures) from the generator certificates' clauses and the pairwise ones."""
+        failures = [
+            f"generator {i}: contraction fail "
+            f"(margin_a={c.margin_a:.4f}, image={c.image_radius:.4f}, lip={c.lipschitz_bound:.4f})"
+            for i, c in enumerate(self.per_generator)
+            if c.recheck_verdict() == "fail"
+        ]
+        failures += evaluate_clauses(self.clauses())[1]
+        return ("fail" if failures else "pass"), failures
+
     def recheck_verdict(self):
-        k = len(self.per_generator)
-        ok = all(c.recheck_verdict() == "pass" for c in self.per_generator)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                if self.pairwise_separation[i, j] < 6 * self.epsilon:
-                    ok = False
-                if self.shadow_disjointness[i, j] <= 2 * self.epsilon:
-                    ok = False
-        return "pass" if ok else "fail"
+        return self.evaluate()[0]
 
     def to_dict(self):
         return {
@@ -190,12 +221,7 @@ class FreenessCertificate:
             failures=list(d.get("failures", [])),
             exact_crosscheck=None
             if xc is None
-            else CrosscheckReport(
-                max_len=xc["max_len"],
-                words_checked=xc["words_checked"],
-                collisions=xc["collisions"],
-                witnesses=[tuple(map(tuple, w)) for w in xc["witnesses"]],
-            ),
+            else CrosscheckReport(**xc | {"witnesses": [tuple(map(tuple, w)) for w in xc["witnesses"]]}),
         )
 
 
@@ -256,8 +282,7 @@ def check_contracting(
     frames = _sample_region(rng, y_minus, epsilon, budget)
     image_radius, lipschitz = _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng)
 
-    verdict = "pass" if (margin_a >= 0 and image_radius <= epsilon and lipschitz <= epsilon) else "fail"
-    return ContractionCertificate(
+    cert = ContractionCertificate(
         epsilon=epsilon,
         element_id=f"{element_seed(g):016x}",
         attracting=x_plus,
@@ -266,11 +291,13 @@ def check_contracting(
         image_radius=image_radius,
         lipschitz_bound=lipschitz,
         samples=frames.shape[0],
-        verdict=verdict,
+        verdict="",
         seed=seed,
         budget=budget,
         element=g,
     )
+    cert.verdict = cert.recheck_verdict()
+    return cert
 
 
 def contraction_criterion(
@@ -303,8 +330,6 @@ def contraction_criterion(
         return False, HypothesisViolated("lipschitz", f"bound {lipschitz:.6f} > eps")
 
     xg, yg = fixed_flags(g, gap_tol)
-    from .flags import flag_distance, opposite_distance  # local to avoid cycle noise
-
     d_attract = flag_distance(xg, x_plus)
     d_repel = opposite_distance(yg, y_minus)
     if d_attract > epsilon or d_repel > epsilon:
@@ -418,55 +443,29 @@ def freeness_certificate(certs, epsilon: float, seed: int = 0) -> FreenessCertif
     certs are check_contracting results at this epsilon, in generator order, each
     carrying its element. check_contracting is deterministic in (g, epsilon, budget,
     gap_tol, seed), so a result kept from an earlier call serves as well as a fresh
-    one. The verdict asks every certificate to pass, the pairwise separation of
-    attracting-from-repelling data to reach 6*epsilon, and the attracting centers
-    to lie more than 2*epsilon apart. A pass witnesses freeness of the generated
-    semigroup with every element contracting at epsilon or 2*epsilon.
+    one. The verdict and failures are FreenessCertificate.evaluate's. A pass
+    witnesses freeness of the generated semigroup with every element contracting at
+    epsilon or 2*epsilon.
     """
     certs = list(certs)
     if len(certs) < 2:
         raise SlnLabError("need at least two generators")
     if any(c.element is None or c.epsilon != epsilon for c in certs):
         raise SlnLabError("each certificate must be at this epsilon and carry its element")
-    k = len(certs)
-    failures = []
-    sep = np.zeros((k, k))
-    dis = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            sep[i, j] = transversality_margin(certs[i].attracting, certs[j].repelling).value
-            dis[i, j] = batch_projector_distance(certs[i].attracting.frame, certs[j].attracting.frame)
-
-    ok = True
-    for i, c in enumerate(certs):
-        if not c.passed:
-            ok = False
-            failures.append(f"generator {i}: contraction fail "
-                            f"(margin_a={c.margin_a:.4f}, image={c.image_radius:.4f}, "
-                            f"lip={c.lipschitz_bound:.4f})")
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if sep[i, j] < 6 * epsilon:
-                ok = False
-                failures.append(f"pairwise_separation[{i}][{j}]={sep[i, j]:.4f} < {6 * epsilon:.4f}")
-            if dis[i, j] <= 2 * epsilon:
-                ok = False
-                failures.append(f"shadow_disjointness[{i}][{j}]={dis[i, j]:.4f} <= {2 * epsilon:.4f}")
-
-    return FreenessCertificate(
+    x = np.stack([c.attracting.frame for c in certs])
+    y = np.stack([c.repelling.frame for c in certs])
+    off = 1.0 - np.eye(len(certs))  # the diagonal pairs a generator with itself
+    cert = FreenessCertificate(
         epsilon=epsilon,
         generators=[c.element for c in certs],
         per_generator=certs,
-        pairwise_separation=sep,
-        shadow_disjointness=dis,
-        verdict="pass" if ok else "fail",
+        pairwise_separation=off * batch_transversality_margin(x[:, None], y[None, :]),
+        shadow_disjointness=off * batch_projector_distance(x[:, None], x[None, :]),
+        verdict="",
         seed=seed,
-        failures=failures,
     )
+    cert.verdict, cert.failures = cert.evaluate()
+    return cert
 
 
 def exact_freeness_crosscheck(S, max_len: int, node_budget: int = 10**7) -> CrosscheckReport:

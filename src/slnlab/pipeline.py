@@ -7,7 +7,7 @@ certified set whose selection sum reaches 1, the run ends in SearchExhausted rat
 than a weakened certificate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import csv
 import datetime
 import json
@@ -349,16 +349,13 @@ def cmd_build_semigroup(config: PipelineConfig):
     else:
         anchor_x, anchor_y, auto_anchors = config.anchor_x, config.anchor_y, False
 
-    sep = transversality_margin(anchor_x, anchor_y).value
-    if not config.epsilon < sep / 8:
-        msg = f"epsilon {config.epsilon} >= anchor margin/8 = {sep / 8:.6f}"
-        if auto_anchors:
-            raise SearchExhausted(msg)
-        raise ConfigError(msg)
-
     max_norm = float(ball.norms.max())
     n_min = 0.5 * max_norm if config.n_min == "auto" else float(config.n_min)
     width = config.width
+    try:
+        spec = FilterSpec(cone=cone, x=anchor_x, y=anchor_y, n_min=n_min, epsilon=config.epsilon, width=width)
+    except SlnLabError as e:  # epsilon too large for the anchors
+        raise (SearchExhausted if auto_anchors else ConfigError)(str(e)) from e
     rounds = []
     chosen = None
     pinned_words = set(map(tuple, config.pinned_words))
@@ -370,13 +367,7 @@ def cmd_build_semigroup(config: PipelineConfig):
 
     for attempt in range(config.retries + 1):
         round_info = {"attempt": attempt, "n_min": n_min, "width": width}
-        try:
-            spec = FilterSpec(
-                cone=cone, x=anchor_x, y=anchor_y, n_min=n_min, epsilon=config.epsilon, width=width
-            )
-        except SlnLabError as e:
-            raise ConfigError(str(e)) from e
-        kept = filter_gamma_set(ball, spec)
+        kept = filter_gamma_set(ball, replace(spec, n_min=n_min, width=width))
         candidates = kept[[is_loxodromic(g, config.gap_tol) for g in kept.elements()]]
         key = tuple(candidates.words)
         if key not in outcomes:
@@ -406,7 +397,7 @@ def cmd_build_semigroup(config: PipelineConfig):
         "seed": config.seed,
         "records": len(ball),
         "anchors_auto": auto_anchors,
-        "anchor_margin": sep,
+        "anchor_margin": transversality_margin(anchor_x, anchor_y).value,
         "rounds": rounds,
         "delta_hat_ambient": None if growth is None else growth.delta_hat,
     }

@@ -1,5 +1,8 @@
+from dataclasses import fields
+import json
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from slnlab import (
     GroupElement,
     HypothesisViolated,
     NotLoxodromic,
+    OppositeFlag,
     SlnLabError,
     attracting_flag,
     check_contracting,
@@ -26,7 +30,7 @@ from slnlab import (
     standard_opposite,
     transversality_margin,
 )
-from slnlab.contraction import CrosscheckReport, FreenessCertificate
+from slnlab.contraction import ContractionCertificate, CrosscheckReport, FreenessCertificate
 
 
 def diag(*vals):
@@ -98,8 +102,6 @@ class TestCheckContracting:
 
     def test_certificate_roundtrip(self):
         cert = check_contracting(STRONG, 0.1)
-        from slnlab.contraction import ContractionCertificate
-
         back = ContractionCertificate.from_dict(cert.to_dict())
         assert back.verdict == cert.verdict
         assert back.recheck_verdict() == cert.verdict
@@ -112,6 +114,7 @@ class TestContractionCriterion:
         )
         assert ok
         assert cert.epsilon == pytest.approx(0.1)
+        assert cert.recheck_verdict() == cert.verdict == "pass"
         assert flag_distance(cert.attracting, standard_flag(2)) < 0.05
 
     def test_wrong_attracting_target_fails_image(self, rp1):
@@ -126,8 +129,6 @@ class TestContractionCriterion:
         # margin(x, y) = 1; shrink it below 6*eps by tilting y
         phi = math.pi / 2 - 0.2
         y_close = Flag(rp1.opposite_frame(phi))
-        from slnlab import OppositeFlag
-
         y_close = OppositeFlag(rp1.opposite_frame(phi))
         sep = transversality_margin(x, y_close).value
         eps = sep / 6 + 0.02
@@ -327,3 +328,146 @@ class TestExactCrosscheck:
 
         with pytest.raises(BudgetExceeded):
             exact_freeness_crosscheck(weak_integer_pair, 30, node_budget=1000)
+
+
+def reference_contraction_verdict(c):
+    """The contraction rule written out longhand."""
+    ok = c.margin_a >= 0.0 and c.image_radius <= c.epsilon and c.lipschitz_bound <= c.epsilon
+    return "pass" if ok else "fail"
+
+
+def reference_freeness(cert):
+    """The ping-pong rule and its failure texts written out longhand, as a k x k loop."""
+    eps, sep, dis = cert.epsilon, cert.pairwise_separation, cert.shadow_disjointness
+    failures = []
+    for i, c in enumerate(cert.per_generator):
+        if reference_contraction_verdict(c) == "fail":
+            failures.append(f"generator {i}: contraction fail "
+                            f"(margin_a={c.margin_a:.4f}, image={c.image_radius:.4f}, "
+                            f"lip={c.lipschitz_bound:.4f})")
+    k = len(cert.per_generator)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            if sep[i, j] < 6 * eps:
+                failures.append(f"pairwise_separation[{i}][{j}]={sep[i, j]:.4f} < {6 * eps:.4f}")
+            if dis[i, j] <= 2 * eps:
+                failures.append(f"shadow_disjointness[{i}][{j}]={dis[i, j]:.4f} <= {2 * eps:.4f}")
+    return ("fail" if failures else "pass"), failures
+
+
+def near(t):
+    """Values exactly at the threshold t, one ulp either side of it, or around it."""
+    ulps = [t, float(np.nextafter(t, -np.inf)), float(np.nextafter(t, np.inf))]
+    return st.sampled_from(ulps) | st.floats(t - 1.0, t + 1.0)
+
+
+def rotation(phi):
+    return np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+
+
+EPSILONS = st.sampled_from([0.05, 0.1, 0.3])
+ANGLES = st.floats(0.0, math.pi)
+
+
+@st.composite
+def contraction_certificates(draw, epsilon):
+    cert = ContractionCertificate(
+        epsilon=epsilon,
+        element_id=f"{draw(st.integers(0, 2**64 - 1)):016x}",
+        attracting=Flag(rotation(draw(ANGLES))),
+        repelling=OppositeFlag(rotation(draw(ANGLES))),
+        margin_a=draw(near(0.0)),
+        image_radius=draw(near(epsilon) | st.just(math.inf)),
+        lipschitz_bound=draw(near(epsilon) | st.just(math.inf)),
+        samples=draw(st.integers(1000, 8000)),
+        verdict="",
+        seed=draw(st.integers(0, 2**31)),
+        budget=draw(st.integers(1000, 8000)),
+    )
+    cert.verdict = reference_contraction_verdict(cert)
+    return cert
+
+
+WORDS = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(tuple)
+CROSSCHECKS = st.none() | st.builds(
+    CrosscheckReport,
+    max_len=st.integers(2, 12),
+    words_checked=st.integers(0, 10**6),
+    collisions=st.integers(0, 100),
+    witnesses=st.lists(st.tuples(WORDS, WORDS), max_size=3),
+)
+
+
+@st.composite
+def freeness_certificates(draw):
+    eps = draw(EPSILONS)
+    k = draw(st.integers(2, 4))
+    off = [(i, j) for i in range(k) for j in range(k) if i != j]
+    sep, dis = np.zeros((k, k)), np.zeros((k, k))
+    for i, j in off:
+        sep[i, j] = draw(near(6 * eps))
+        dis[i, j] = draw(near(2 * eps))
+    cert = FreenessCertificate(
+        epsilon=eps,
+        generators=[diag(float(s), 1 / float(s)) for s in draw(st.lists(st.integers(2, 9), min_size=k, max_size=k))],
+        per_generator=draw(st.lists(contraction_certificates(eps), min_size=k, max_size=k)),
+        pairwise_separation=sep,
+        shadow_disjointness=dis,
+        verdict="",
+        exact_crosscheck=draw(CROSSCHECKS),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    cert.verdict, cert.failures = reference_freeness(cert)
+    return cert
+
+
+def assert_same_fields(a, b):
+    """Every stored field of a certificate survives, the element aside."""
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "element":
+            continue
+        if isinstance(x, (Flag, OppositeFlag)):
+            assert type(x) is type(y) and np.array_equal(x.frame, y.frame), f.name
+        elif f.name == "generators":
+            assert [g.entries.tolist() for g in x] == [g.entries.tolist() for g in y]
+        elif f.name == "per_generator":
+            for c, d in zip(x, y, strict=True):
+                assert_same_fields(c, d)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+def json_roundtrip(cert):
+    return type(cert).from_dict(json.loads(json.dumps(cert.to_dict())))
+
+
+class TestVerdictClauses:
+    @given(st.one_of(EPSILONS.flatmap(contraction_certificates), freeness_certificates()))
+    def test_roundtrip_and_verdict_match_the_written_out_rule(self, cert):
+        assert_same_fields(json_roundtrip(cert), cert)
+        assert cert.recheck_verdict() == cert.verdict
+        if isinstance(cert, FreenessCertificate):
+            assert cert.evaluate() == (cert.verdict, cert.failures)
+
+    def test_ties(self):
+        eps = 0.1
+        tied = ContractionCertificate(
+            eps, "0", standard_flag(2), standard_opposite(2), 0.0, eps, eps, 1000, "pass"
+        )
+        assert tied.recheck_verdict() == "pass"
+        off = 1.0 - np.eye(2)
+        cert = FreenessCertificate(
+            eps, [STRONG, STRONG], [tied, tied], 6 * eps * off, 2 * eps * off, "fail"
+        )
+        assert cert.evaluate() == ("fail", [
+            "shadow_disjointness[0][1]=0.2000 <= 0.2000",
+            "shadow_disjointness[1][0]=0.2000 <= 0.2000",
+        ])
+        cert.shadow_disjointness = np.nextafter(2 * eps, 1.0) * off
+        assert cert.evaluate() == ("pass", [])

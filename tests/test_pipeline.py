@@ -267,6 +267,14 @@ class TestConfigValidation:
         )
         assert cli_main(["build-semigroup", "--config", cfg_path]) == 2
 
+    def test_auto_anchor_epsilon_bound_exhausts(self, tmp_path, capsys):
+        # the Sanov auto anchors have margin ~1, so epsilon 0.2 is past margin/8
+        cfg_path = base_config(tmp_path, SANOV, epsilon=0.2, radius=4)
+        assert cli_main(["build-semigroup", "--config", cfg_path]) == 4
+        out, err = capsys.readouterr()
+        assert "search exhausted" in out and "/8" in out
+        assert "Traceback" not in out + err
+
     def test_missing_required_field(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"n": 2})
         with pytest.raises(ConfigError):
