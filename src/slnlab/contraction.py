@@ -4,11 +4,14 @@ A contracting element maps everything outside a small neighborhood of its
 non-transversality locus into a small ball around its attracting flag, with a small
 Lipschitz constant, and has well-separated fixed data. Certificates here are
 numerical witnesses of those three conditions at a given epsilon: the separation is
-a closed-form margin computation, the image and Lipschitz conditions are verified by
-seeded Monte Carlo with boundary-biased sampling. Every verdict is the conjunction of
-its certificate's clauses, each a stored margin against a threshold, and each failure
-is a failing clause's text. The exact crosscheck validates freeness independently by
-exhaustive rational-word enumeration at bounded length.
+a closed-form margin computation, the image and Lipschitz conditions come from one
+seeded, boundary-biased sample-and-measure step. Every verdict is the conjunction of
+its clauses, each a stored margin against a threshold, and each failure is a failing
+clause's text. Shadow is the one flag-shadow primitive (the image under g of the
+flags with margin >= r against g's repelling flag): Shadow.sample draws from it and
+Shadow.contains tests membership, for every shadow computation in the package. The
+exact crosscheck validates freeness independently by exhaustive rational-word
+enumeration at bounded length.
 """
 
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -124,15 +127,22 @@ class ContractionCertificate:
         return cls(**kw)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Shadow:
-    """The image under g of the flags with margin >= r against the repelling data."""
+    """The image under g of the flags with margin >= r against the repelling flag."""
 
     element: GroupElement
-    r: float
-    center: Flag
     repelling: OppositeFlag
-    containment_radius: float | None  # <= certificate epsilon once r >= epsilon
+    r: float
+
+    def sample(self, rng, count):
+        """count shadow frames: admissible Haar frames pushed by g; InsufficientBudget if too thin."""
+        return batch_act(self.element, sample_flags_outside(rng, self.repelling, self.r, count))
+
+    def contains(self, frames):
+        """Row-wise membership of an (N, n, n) frame stack: pulled back by g, margin >= r."""
+        pulled = batch_act(self.element.inverse(), frames)
+        return batch_transversality_margin(pulled, self.repelling.frame) >= self.r
 
 
 @dataclass
@@ -225,16 +235,15 @@ class FreenessCertificate:
         )
 
 
-def _sample_region(rng, y, epsilon, budget):
-    """Half uniform over the admissible region, half biased into the weak band."""
+def _sample_and_measure(g, x_plus, y_minus, epsilon, budget, seed):
+    """(image radius, Lipschitz bound, samples) of g on a seeded sample of the region
+    with margin >= epsilon against y_minus: half uniform, half biased into the weak band."""
+    rng = rng_for(g, seed)
     n_uniform = max(budget // 2, 1)
-    n_band = max(budget - n_uniform, 1)
-    uniform = sample_flags_outside(rng, y, epsilon, n_uniform)
-    band = band_flags_near(rng, y, epsilon, n_band)
-    return np.concatenate([uniform, band], axis=0)
+    uniform = sample_flags_outside(rng, y_minus, epsilon, n_uniform)
+    band = band_flags_near(rng, y_minus, epsilon, max(budget - n_uniform, 1))
+    frames = np.concatenate([uniform, band], axis=0)
 
-
-def _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng):
     imgs = batch_act(g, frames)
     image_radius = float(np.max(batch_projector_distance(imgs, x_plus.frame)))
 
@@ -253,7 +262,7 @@ def _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng):
         ok = wd > 1e-9
         ratios = np.concatenate([ratios, wi[ok] / wd[ok]])
     lipschitz = float(np.max(ratios)) * LIPSCHITZ_SAFETY if ratios.size else np.inf
-    return image_radius, lipschitz
+    return image_radius, lipschitz, m
 
 
 def check_contracting(
@@ -278,9 +287,7 @@ def check_contracting(
     sep = transversality_margin(x_plus, y_minus).value
     margin_a = sep - 2 * epsilon
 
-    rng = rng_for(g, seed)
-    frames = _sample_region(rng, y_minus, epsilon, budget)
-    image_radius, lipschitz = _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng)
+    image_radius, lipschitz, samples = _sample_and_measure(g, x_plus, y_minus, epsilon, budget, seed)
 
     cert = ContractionCertificate(
         epsilon=epsilon,
@@ -290,7 +297,7 @@ def check_contracting(
         margin_a=margin_a,
         image_radius=image_radius,
         lipschitz_bound=lipschitz,
-        samples=frames.shape[0],
+        samples=samples,
         verdict="",
         seed=seed,
         budget=budget,
@@ -314,20 +321,22 @@ def contraction_criterion(
     If g maps the admissible region of y_minus into the epsilon-ball of x_plus
     with Lipschitz constant <= epsilon, and the targets are 6*epsilon-separated,
     then g is contracting at 2*epsilon and its true fixed data lie within epsilon
-    of the targets. Returns (True, certificate) or (False, reason); a violated
-    separation precondition raises HypothesisViolated('separation').
+    of the targets. Returns (passed, certificate), or (False, reason) whose detail is
+    the first failing image or Lipschitz clause; a violated separation precondition
+    raises HypothesisViolated('separation').
     """
     sep = transversality_margin(x_plus, y_minus).value
     if sep < 6 * epsilon:
         raise HypothesisViolated("separation", f"margin {sep:.6f} < 6*eps {6 * epsilon:.6f}")
 
-    rng = rng_for(g, seed)
-    frames = _sample_region(rng, y_minus, epsilon, budget)
-    image_radius, lipschitz = _image_and_lipschitz(g, frames, x_plus, y_minus, epsilon, rng)
-    if image_radius > epsilon:
-        return False, HypothesisViolated("image", f"radius {image_radius:.6f} > eps")
-    if lipschitz > epsilon:
-        return False, HypothesisViolated("lipschitz", f"bound {lipschitz:.6f} > eps")
+    image_radius, lipschitz, samples = _sample_and_measure(g, x_plus, y_minus, epsilon, budget, seed)
+    hypotheses = (
+        ("image", Clause("image_radius", image_radius, "<=", epsilon)),
+        ("lipschitz", Clause("lipschitz_bound", lipschitz, "<=", epsilon)),
+    )
+    for which, clause in hypotheses:
+        if not clause.holds:
+            return False, HypothesisViolated(which, str(clause))
 
     xg, yg = fixed_flags(g, gap_tol)
     d_attract = flag_distance(xg, x_plus)
@@ -345,31 +354,25 @@ def contraction_criterion(
         margin_a=transversality_margin(xg, yg).value - 4 * epsilon,
         image_radius=image_radius,
         lipschitz_bound=lipschitz,
-        samples=frames.shape[0],
-        verdict="pass",
+        samples=samples,
+        verdict="",
         seed=seed,
         budget=budget,
         element=g,
     )
-    return True, cert
+    cert.verdict = cert.recheck_verdict()
+    return cert.passed, cert
 
 
 def shadow_of(cert: ContractionCertificate, r: float) -> Shadow:
     if cert.element is None:
         raise SlnLabError("certificate does not carry its element")
-    return Shadow(
-        element=cert.element,
-        r=r,
-        center=cert.attracting,
-        repelling=cert.repelling,
-        containment_radius=cert.epsilon if r >= cert.epsilon else None,
-    )
+    return Shadow(cert.element, cert.repelling, r)
 
 
 def shadow_membership(s: Shadow, f: Flag) -> bool:
     """f lies in the shadow iff pulling it back lands outside the r-thin region."""
-    pulled = batch_act(s.element.inverse(), f.frame[None])
-    return bool(batch_transversality_margin(pulled, s.repelling.frame)[0] >= s.r)
+    return bool(s.contains(f.frame[None])[0])
 
 
 def _certify_at_eps_or_2eps(g, epsilon, budget, gap_tol, seed):
@@ -405,12 +408,8 @@ def shadow_inclusion_check(
     gamma_cert = gamma_cert or _certify_at_eps_or_2eps(gamma, epsilon, max(budget, 1000), gap_tol, seed)
     eta_cert = eta_cert or _certify_at_eps_or_2eps(eta, epsilon, max(budget, 1000), gap_tol, seed)
 
-    rng = rng_for(eta, seed)
-    frames = sample_flags_outside(rng, eta_cert.repelling, 2 * epsilon, budget)
-    pushed = batch_act(eta, frames)
-    pulled = batch_act(gamma.inverse(), pushed)
-    margins = batch_transversality_margin(pulled, gamma_cert.repelling.frame)
-    return bool(np.all(margins >= 4 * epsilon))
+    pushed = Shadow(eta, eta_cert.repelling, 2 * epsilon).sample(rng_for(eta, seed), budget)
+    return bool(np.all(Shadow(gamma, gamma_cert.repelling, 4 * epsilon).contains(pushed)))
 
 
 def pingpong_certificate(

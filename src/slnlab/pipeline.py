@@ -89,6 +89,15 @@ class PipelineConfig:
         if self.dedup not in DEDUP_POLICIES:
             raise ConfigError(f"dedup must be one of {DEDUP_POLICIES}, got {self.dedup!r}")
         _check_scales(self.epsilon, self.gap_tol)
+        for name in ("target_delta", "width", "shadow_radius"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if not isinstance(self.include_inverses, bool):
+            raise ConfigError(f"include_inverses must be true or false, got {self.include_inverses!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a path, got {self.output_dir!r}")
 
     def generators(self):
         """The generators file's matrices, which must be n x n."""
@@ -113,7 +122,8 @@ class PipelineConfig:
                 ax = flag_from_json({**ax, "kind": "flag"})
             if isinstance(ay, dict):
                 ay = flag_from_json({**ay, "kind": "opposite"})
-            return cls(
+            n_min = d.get("n_min", "auto")
+            kwargs = dict(
                 generators_path=d["generators_path"],
                 n=int(d["n"]),
                 target_delta=float(d["target_delta"]),
@@ -122,7 +132,7 @@ class PipelineConfig:
                 cone=cone,
                 anchor_x=ax,
                 anchor_y=ay,
-                n_min=d.get("n_min", "auto"),
+                n_min=n_min if n_min == "auto" else float(n_min),
                 width=float(d.get("width", 2.0)),
                 sample_budget=int(budgets.get("samples", 4000)),
                 node_budget=int(budgets.get("nodes", 10**7)),
@@ -130,14 +140,16 @@ class PipelineConfig:
                 output_dir=d.get("output_dir", "out"),
                 shadow_radius=float(d.get("shadow_radius", 1.0)),
                 gap_tol=float(d.get("gap_tol", 1e-6)),
-                include_inverses=bool(d.get("include_inverses", True)),
+                include_inverses=d.get("include_inverses", True),
                 dedup=d.get("dedup", "float"),
                 retries=int(d.get("retries", 5)),
                 exact_check=d.get("exact_check"),
                 pinned_words=[tuple(w) for w in d.get("pinned_words", [])],
             )
-        except (KeyError, TypeError, ValueError) as e:
+        # SlnLabError: a cone or anchor frame that Cone, CartanVector or Flag rejects
+        except (KeyError, TypeError, ValueError, SlnLabError) as e:
             raise ConfigError(f"bad pipeline config: {e}") from e
+        return cls(**kwargs)
 
     @classmethod
     def from_json_file(cls, path):
@@ -153,7 +165,10 @@ def _unit_chamber_vector(coords):
 
     v = np.asarray(coords, dtype=float)
     v = v - v.mean()
-    return CartanVector(v / np.linalg.norm(v))
+    norm = np.linalg.norm(v)
+    if not norm > 0:
+        raise ConfigError(f"cone axis {list(coords)} has no direction once centered")
+    return CartanVector(v / norm)
 
 
 def load_generators(path):

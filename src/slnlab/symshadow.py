@@ -12,10 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from .contraction import DEFAULT_GAP_TOL, MIN_BUDGET, Shadow, _certify_at_eps_or_2eps
 from .errors import MembershipUnverified, SlnLabError
 from .lie import CartanVector, GroupElement, cartan_projection, kak_decomposition, symmetric_space_distance
 from .sampling import haar_frames
-from .flags import Flag, batch_act, batch_orthonormalize, batch_transversality_margin
+from .flags import Flag, batch_orthonormalize
 
 _BIG = 1e18
 
@@ -221,31 +222,19 @@ def flag_shadow_in_sym_shadow(
     seed: int = 0,
     cert=None,
 ) -> InclusionProbeReport:
-    """Probe whether the 2eps flag shadow of g sits inside the shadow of B_R(g o)."""
-    from .contraction import _certify_at_eps_or_2eps  # deferred: avoids import cycle
+    """Probe whether the 2eps flag shadow of g sits inside the shadow of B_R(g o).
 
+    cert is g's contraction certificate at epsilon or 2*epsilon; None certifies g here.
+    """
     if cert is None:
-        cert = _certify_at_eps_or_2eps(g, epsilon, 1000, 1e-6, seed)
+        cert = _certify_at_eps_or_2eps(g, epsilon, MIN_BUDGET, DEFAULT_GAP_TOL, seed)
     if probe_budget <= 0:
         return InclusionProbeReport(holds=True, violations=0, probes=0, vacuous=True)
 
-    rng = np.random.default_rng(seed)
-    frames = []
-    tries = 0
-    while len(frames) < probe_budget and tries < 200:
-        batch = haar_frames(rng, g.n, max(probe_budget, 32))
-        margins = batch_transversality_margin(batch, cert.repelling.frame)
-        frames.extend(batch[margins >= 2 * epsilon])
-        tries += 1
-    frames = np.stack(frames[:probe_budget])
-    pushed = batch_act(g, frames)
-
+    pushed = Shadow(g, cert.repelling, 2 * epsilon).sample(np.random.default_rng(seed), probe_budget)
     query = SymShadowQuery(GroupElement.identity(g.n), g, R)
-    violations = 0
-    for i in range(pushed.shape[0]):
-        if not sym_shadow_membership(query, Flag(pushed[i])).member:
-            violations += 1
-    return InclusionProbeReport(holds=violations == 0, violations=violations, probes=pushed.shape[0])
+    violations = sum(not sym_shadow_membership(query, Flag(f)).member for f in pushed)
+    return InclusionProbeReport(holds=violations == 0, violations=violations, probes=len(pushed))
 
 
 def calibrate_radius(
@@ -253,12 +242,14 @@ def calibrate_radius(
 ):
     """Sweep candidate radii; report violation counts and the smallest clean radius.
 
+    g is certified once, and every radius probes the same flag shadow.
     Returns (rows, r_min) where rows are (epsilon, n, R, violations, probes).
     """
+    cert = _certify_at_eps_or_2eps(g, epsilon, MIN_BUDGET, DEFAULT_GAP_TOL, seed)
     rows = []
     r_min = None
     for R in sorted(radii):
-        rep = flag_shadow_in_sym_shadow(g, epsilon, R, probe_budget, seed)
+        rep = flag_shadow_in_sym_shadow(g, epsilon, R, probe_budget, seed, cert=cert)
         rows.append((epsilon, g.n, R, rep.violations, rep.probes))
         if rep.holds and r_min is None:
             r_min = R

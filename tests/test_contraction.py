@@ -123,6 +123,19 @@ class TestContractionCriterion:
         assert not ok
         assert reason.which == "image"
 
+    def test_weak_element_fails_lipschitz(self):
+        # image radius 0.0174 passes at 0.1; the Lipschitz bound 0.1868 does not
+        g = diag(math.e**3, math.e**-3)
+        ok, reason = contraction_criterion(g, standard_flag(2), standard_opposite(2), 0.1)
+        assert not ok
+        assert reason.which == "lipschitz"
+        assert "lipschitz_bound=0.1868 > 0.1000" in str(reason)
+        # the standard targets are g's own fixed data, so check_contracting measures
+        # the same seeded sample
+        cert = check_contracting(g, 0.1)
+        assert cert.image_radius == pytest.approx(0.0174, abs=5e-5)
+        assert cert.lipschitz_bound == pytest.approx(0.1868, abs=5e-5)
+
     def test_separation_precondition(self, rp1):
         x = standard_flag(2)
         y = standard_opposite(2)
@@ -174,6 +187,12 @@ class TestShadows:
             pulled = rp1.act(np.linalg.inv(g.entries), phi)
             expected = rp1.margin(pulled, math.pi / 2) >= 0.1
             assert shadow_membership(s, f) == expected
+        # one batched call over a grid that crosses the interval's edges on both sides
+        tiny = np.geomspace(1e-6, 1e-2, 5)
+        grid = np.concatenate([np.linspace(0.0, math.pi, 32, endpoint=False), tiny, math.pi - tiny])
+        expected = [rp1.margin(rp1.act(np.linalg.inv(g.entries), phi), math.pi / 2) >= 0.1 for phi in grid]
+        assert any(expected) and not all(expected)
+        assert s.contains(np.stack([rp1.flag_frame(phi) for phi in grid])).tolist() == expected
 
 
 class TestShadowInclusion:

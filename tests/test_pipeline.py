@@ -54,6 +54,31 @@ CONFIG_FAULTS = {
     "gap_tol 0, analyze": (SANOV, {"gap_tol": 0.0}, "analyze"),
     "gap_tol 0, certify": (STRONG_RATIONAL, {"epsilon": 0.1, "gap_tol": 0.0}, "certify"),
     "gap_tol negative, build": (SANOV, {"gap_tol": -1e-6}, "build-semigroup"),
+    "n_min a string, build": (SANOV, {"n_min": "abc"}, "build-semigroup"),
+    "n_min null, build": (SANOV, {"n_min": None}, "build-semigroup"),
+    "cone half_angle 2, analyze": (SANOV, {"cone": {"axis": [1, -1], "half_angle": 2}}, "analyze"),
+    "cone half_angle 2, build": (SANOV, {"cone": {"axis": [1, -1], "half_angle": 2}}, "build-semigroup"),
+    "cone axis outside the chamber, analyze": (
+        SANOV, {"cone": {"axis": [-1, 1], "half_angle": 0.5}}, "analyze"
+    ),
+    "cone axis outside the chamber, build": (
+        SANOV, {"cone": {"axis": [-1, 1], "half_angle": 0.5}}, "build-semigroup"
+    ),
+    "cone axis constant, analyze": (SANOV, {"cone": {"axis": [1, 1], "half_angle": 0.5}}, "analyze"),
+    "cone axis constant, build": (SANOV, {"cone": {"axis": [1, 1], "half_angle": 0.5}}, "build-semigroup"),
+    "shadow_radius 0, build": (SANOV, {"shadow_radius": 0}, "build-semigroup"),
+    "shadow_radius negative, build": (SANOV, {"shadow_radius": -1}, "build-semigroup"),
+    "anchor_x not orthogonal, build": (SANOV, {"anchor_x": {"frame": [[1, 1], [0, 1]]}}, "build-semigroup"),
+    "anchor_y not orthogonal, build": (SANOV, {"anchor_y": {"frame": [[1, 1], [0, 1]]}}, "build-semigroup"),
+    "output_dir null, analyze": (SANOV, {"output_dir": None}, "analyze"),
+    "output_dir null, build": (SANOV, {"output_dir": None}, "build-semigroup"),
+    "include_inverses a string, analyze": (SANOV, {"include_inverses": "no"}, "analyze"),
+    "include_inverses a string, build": (SANOV, {"include_inverses": "no"}, "build-semigroup"),
+    "width 0, build": (SANOV, {"width": 0}, "build-semigroup"),
+    "width negative, build": (SANOV, {"width": -2}, "build-semigroup"),
+    "retries negative, build": (SANOV, {"retries": -1}, "build-semigroup"),
+    "target_delta 0, build": (SANOV, {"target_delta": 0}, "build-semigroup"),
+    "target_delta negative, build": (SANOV, {"target_delta": -0.05}, "build-semigroup"),
 }
 
 

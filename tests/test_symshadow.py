@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from slnlab import contraction
 from slnlab import (
     Flag,
     GroupElement,
@@ -26,6 +27,10 @@ def diag(*vals):
 
 
 IDENT2 = GroupElement.identity(2)
+# A^10 for A = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]: contracts at epsilon 0.1
+SL3_POWER = GroupElement.from_exact(
+    [[14041, 31501, 25213], [31501, 70755, 56714], [25213, 56714, 45542]]
+)
 
 
 class TestChamberProjection:
@@ -167,6 +172,32 @@ class TestFlagShadowInsideSymShadow:
         rep = flag_shadow_in_sym_shadow(g, 0.1, R=1e-4, probe_budget=16)
         assert not rep.holds
         assert rep.violations > 0
+
+    def test_calibration_certifies_once(self, monkeypatch, strong_rational_pair):
+        calls = []
+        check = contraction.check_contracting
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(contraction, "check_contracting", counted)
+        calibrate_radius(strong_rational_pair[0], 0.1, radii=[0.05, 0.5, 2.0], probe_budget=4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "g, radii",
+        [
+            (GroupElement.from_exact([["148", "0"], ["0", "1/148"]]), [0.05, 0.2, 0.5, 1.0, 2.0]),
+            (SL3_POWER, [0.25, 1.0, 4.0]),
+        ],
+        ids=["n2", "n3"],
+    )
+    def test_rows_match_per_radius_reports(self, g, radii):
+        rows, r_min = calibrate_radius(g, 0.1, radii, probe_budget=8, seed=5)
+        reports = [flag_shadow_in_sym_shadow(g, 0.1, R, probe_budget=8, seed=5, cert=None) for R in radii]
+        assert rows == [(0.1, g.n, R, rep.violations, rep.probes) for R, rep in zip(radii, reports)]
+        assert r_min == next((R for R, rep in zip(radii, reports) if rep.holds), None)
 
     def test_zero_budget_vacuous(self, strong_rational_pair):
         rep = flag_shadow_in_sym_shadow(strong_rational_pair[0], 0.1, R=1.0, probe_budget=0)
