@@ -114,7 +114,7 @@ class PipelineConfig:
             if isinstance(cone, dict):
                 cone = Cone(
                     axis=_unit_chamber_vector(cone["axis"]),
-                    half_angle=float(cone["half_angle"]),
+                    half_angle=_number(float, "cone.half_angle", cone["half_angle"]),
                 )
             ax = d.get("anchor_x", "auto")
             ay = d.get("anchor_y", "auto")
@@ -125,24 +125,24 @@ class PipelineConfig:
             n_min = d.get("n_min", "auto")
             kwargs = dict(
                 generators_path=d["generators_path"],
-                n=int(d["n"]),
-                target_delta=float(d["target_delta"]),
-                epsilon=float(d["epsilon"]),
-                radius=int(d.get("radius", budgets.get("radius", 8))),
+                n=_number(int, "n", d["n"]),
+                target_delta=_number(float, "target_delta", d["target_delta"]),
+                epsilon=_number(float, "epsilon", d["epsilon"]),
+                radius=_number(int, "radius", d.get("radius", budgets.get("radius", 8))),
                 cone=cone,
                 anchor_x=ax,
                 anchor_y=ay,
-                n_min=n_min if n_min == "auto" else float(n_min),
-                width=float(d.get("width", 2.0)),
-                sample_budget=int(budgets.get("samples", 4000)),
-                node_budget=int(budgets.get("nodes", 10**7)),
-                seed=int(d.get("seed", 0)),
+                n_min=n_min if n_min == "auto" else _number(float, "n_min", n_min),
+                width=_number(float, "width", d.get("width", 2.0)),
+                sample_budget=_number(int, "budgets.samples", budgets.get("samples", 4000)),
+                node_budget=_number(int, "budgets.nodes", budgets.get("nodes", 10**7)),
+                seed=_number(int, "seed", d.get("seed", 0)),
                 output_dir=d.get("output_dir", "out"),
-                shadow_radius=float(d.get("shadow_radius", 1.0)),
-                gap_tol=float(d.get("gap_tol", 1e-6)),
+                shadow_radius=_number(float, "shadow_radius", d.get("shadow_radius", 1.0)),
+                gap_tol=_number(float, "gap_tol", d.get("gap_tol", 1e-6)),
                 include_inverses=d.get("include_inverses", True),
                 dedup=d.get("dedup", "float"),
-                retries=int(d.get("retries", 5)),
+                retries=_number(int, "retries", d.get("retries", 5)),
                 exact_check=d.get("exact_check"),
                 pinned_words=[tuple(w) for w in d.get("pinned_words", [])],
             )
@@ -158,6 +158,14 @@ class PipelineConfig:
                 return cls.from_dict(json.load(fh))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+
+
+def _number(kind, key, value):
+    """kind(value), or a ConfigError that names the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{key}: {e}") from e
 
 
 def _unit_chamber_vector(coords):

@@ -5,8 +5,15 @@ through the flag's frame passes within R of q. Membership reduces to minimizing
 H -> d(exp(H) o, q) over the positive chamber; a coarse ray/radius grid plus a
 derivative-free polytope refinement yields an upper bound for the minimum, so a
 positive membership verdict is certain and a negative one is best-effort.
+
+The grid runs as one stack with the scalar objective's float operations: a seed t*ray
+(t >= 0) is nonincreasing, so projecting it only centers it. Calibration searches each
+probe once, at the smallest radius: a member there is one at every larger R, and a miss
+ran the full search, which a larger R repeats unless it exits early as a member; so the
+missed distance > R decides every R.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +31,11 @@ _BIG = 1e18
 def project_chamber(v):
     """Euclidean projection onto zero-sum nonincreasing vectors (pool adjacent violators)."""
     v = np.asarray(v, dtype=float)
-    v = v - v.mean()
+    v = v - v.sum() / len(v)
     # nonincreasing isotonic projection preserves the (zero) sum
-    vals = list(-v)
-    weights = [1.0] * len(vals)
     blocks = []
-    for val, w in zip(vals, weights):
-        blocks.append([val, w])
+    for val in -v:
+        blocks.append([val, 1.0])
         while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
             b = blocks.pop()
             a = blocks[-1]
@@ -80,22 +85,31 @@ def _chamber_rays(n, count):
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             rays.append(v / nv)
-    return rays
+    return np.array(rays)
 
 
 def _objective_factory(kframe, target_entries):
     core = kframe.T @ target_entries
+    n = len(core)
 
     def objective(h_raw):
         h = project_chamber(h_raw)
-        scaled = np.exp(-h)[:, None] * core
-        svals = np.linalg.svd(scaled, compute_uv=False)
+        svals = np.linalg.svd(np.exp(-h)[:, None] * core, compute_uv=False)
         if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
             return _BIG
         logs = np.log(svals)
-        return float(np.linalg.norm(logs - logs.mean()))
+        c = logs - logs.sum() / n
+        return math.sqrt(c.dot(c))
 
-    return objective
+    def grid(H):
+        """Objective of each chamber row of H, by the scalar objective's float operations."""
+        svals = np.linalg.svd(np.exp(-H)[:, :, None] * core, compute_uv=False)
+        ok = (svals[:, -1] > 0) & np.isfinite(svals).all(axis=1)
+        logs = np.log(np.where(ok[:, None], svals, 1.0))
+        c = logs - (logs.sum(axis=1) / n)[:, None]
+        return np.where(ok, np.sqrt(np.vecdot(c, c)), _BIG)
+
+    return objective, grid
 
 
 def sym_shadow_membership(
@@ -115,7 +129,7 @@ def sym_shadow_membership(
     frame = batch_orthonormalize(base_inv.entries @ f.frame)
 
     n = target.n
-    objective = _objective_factory(frame, target.entries)
+    objective, grid = _objective_factory(frame, target.entries)
     kappa_t = cartan_projection(target).coords
     scale = max(float(np.linalg.norm(kappa_t)), 1.0)
 
@@ -124,16 +138,18 @@ def sym_shadow_membership(
     if best <= query.R:
         return MembershipResult(True, best, CartanVector(best_h))
 
-    seeds = [np.zeros(n)]
-    for ray in _chamber_rays(n, rays):
-        for t in np.linspace(0.0, 1.5 * scale, radii):
-            seeds.append(t * ray)
-    for h in seeds:
-        val = objective(h)
-        if val < best:
-            best, best_h = val, project_chamber(h)
-            if best <= query.R * 0.5:
-                return MembershipResult(True, best, CartanVector(best_h))
+    # the origin, then each ray at each radius; PAV merges no block of these seeds
+    ts = np.linspace(0.0, 1.5 * scale, radii)
+    H = np.concatenate([np.zeros((1, n)), (_chamber_rays(n, rays)[:, None, :] * ts[:, None]).reshape(-1, n)])
+    H = H - (H.sum(axis=1) / n)[:, None]
+    vals = grid(H)
+    # a seed-by-seed scan stops at the first seed at or below R/2
+    exits = np.flatnonzero(vals <= query.R * 0.5)
+    if exits.size:
+        return MembershipResult(True, float(vals[exits[0]]), CartanVector(H[exits[0]]))
+    i = int(np.argmin(vals))
+    if vals[i] < best:
+        best, best_h = float(vals[i]), H[i]
 
     res = scipy.optimize.minimize(
         objective,
@@ -230,11 +246,16 @@ def flag_shadow_in_sym_shadow(
         cert = _certify_at_eps_or_2eps(g, epsilon, MIN_BUDGET, DEFAULT_GAP_TOL, seed)
     if probe_budget <= 0:
         return InclusionProbeReport(holds=True, violations=0, probes=0, vacuous=True)
+    missed, probes = _missed_probes(g, cert, epsilon, R, probe_budget, seed)
+    return InclusionProbeReport(holds=not missed, violations=len(missed), probes=probes)
 
+
+def _missed_probes(g, cert, epsilon, R, probe_budget, seed):
+    """(achieved distances of the 2eps shadow probes outside the shadow of B_R(g o), probe count)."""
     pushed = Shadow(g, cert.repelling, 2 * epsilon).sample(np.random.default_rng(seed), probe_budget)
     query = SymShadowQuery(GroupElement.identity(g.n), g, R)
-    violations = sum(not sym_shadow_membership(query, Flag(f)).member for f in pushed)
-    return InclusionProbeReport(holds=violations == 0, violations=violations, probes=len(pushed))
+    results = [sym_shadow_membership(query, Flag(f)) for f in pushed]
+    return [res.achieved for res in results if not res.member], len(pushed)
 
 
 def calibrate_radius(
@@ -242,15 +263,14 @@ def calibrate_radius(
 ):
     """Sweep candidate radii; report violation counts and the smallest clean radius.
 
-    g is certified once, and every radius probes the same flag shadow.
+    g is certified once, and each probe is searched once, at the smallest radius.
     Returns (rows, r_min) where rows are (epsilon, n, R, violations, probes).
     """
     cert = _certify_at_eps_or_2eps(g, epsilon, MIN_BUDGET, DEFAULT_GAP_TOL, seed)
-    rows = []
-    r_min = None
-    for R in sorted(radii):
-        rep = flag_shadow_in_sym_shadow(g, epsilon, R, probe_budget, seed, cert=cert)
-        rows.append((epsilon, g.n, R, rep.violations, rep.probes))
-        if rep.holds and r_min is None:
-            r_min = R
+    radii = sorted(radii)
+    missed, probes = [], 0
+    if radii and probe_budget > 0:
+        missed, probes = _missed_probes(g, cert, epsilon, radii[0], probe_budget, seed)
+    rows = [(epsilon, g.n, R, sum(d > R for d in missed), probes) for R in radii]
+    r_min = next((row[2] for row in rows if row[3] == 0), None)
     return rows, r_min

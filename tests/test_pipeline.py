@@ -81,6 +81,24 @@ CONFIG_FAULTS = {
     "target_delta negative, build": (SANOV, {"target_delta": -0.05}, "build-semigroup"),
 }
 
+# (config overrides, the key the error must name): values no number conversion accepts
+FIELD_FAULTS = {
+    "n null": ({"n": None}, "n"),
+    "target_delta a string": ({"target_delta": "small"}, "target_delta"),
+    "epsilon null": ({"epsilon": None}, "epsilon"),
+    "radius a string": ({"radius": "seven"}, "radius"),
+    "radius infinite": ({"radius": math.inf}, "radius"),
+    "cone half_angle null": ({"cone": {"axis": [1, -1], "half_angle": None}}, "cone.half_angle"),
+    "n_min null": ({"n_min": None}, "n_min"),
+    "width a list": ({"width": [2]}, "width"),
+    "samples null": ({"budgets": {"samples": None}}, "budgets.samples"),
+    "nodes a string": ({"budgets": {"nodes": "many"}}, "budgets.nodes"),
+    "seed null": ({"seed": None}, "seed"),
+    "shadow_radius a string": ({"shadow_radius": "one"}, "shadow_radius"),
+    "gap_tol null": ({"gap_tol": None}, "gap_tol"),
+    "retries a string": ({"retries": "five"}, "retries"),
+}
+
 
 def write_json(path, obj):
     with open(path, "w") as fh:
@@ -160,6 +178,14 @@ class TestAnalyze:
         cfg_path = base_config(tmp_path, gens, **overrides)
         assert cli_main([command, "--config", cfg_path]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", sorted(FIELD_FAULTS))
+    def test_cli_conversion_faults_name_their_field(self, tmp_path, capsys, fault):
+        overrides, key = FIELD_FAULTS[fault]
+        cfg_path = base_config(tmp_path, SANOV, **overrides)
+        assert cli_main(["build-semigroup", "--config", cfg_path]) == 2
+        assert f"bad pipeline config: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
+import scipy.optimize
 
-from slnlab import contraction
+from slnlab import contraction, symshadow
 from slnlab import (
+    CartanVector,
     Flag,
     GroupElement,
     MembershipUnverified,
@@ -16,10 +19,14 @@ from slnlab import (
     kak_decomposition,
     overlap_distance_bound,
     project_chamber,
+    random_unimodular,
     ray_distance_bound,
     shadows_certified_disjoint,
     sym_shadow_membership,
 )
+from slnlab.flags import batch_orthonormalize
+from slnlab.sampling import haar_frames
+from slnlab.symshadow import MembershipResult
 
 
 def diag(*vals):
@@ -33,15 +40,106 @@ SL3_POWER = GroupElement.from_exact(
 )
 
 
+def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
+    """(branch, result) of the seed-by-seed grid scan that the stacked grid replaced,
+    with the objective written by mean and norm.
+
+    The branch is "kappa", "grid" (a seed at or below R/2), "near" (refinement after a
+    seed at or below R) or "refine". By the 1-Lipschitz Cartan projection a seed h within
+    R/2 puts the kappa point within |kappa - h| + R/2 <= R, so "grid" needs rounding.
+    """
+    base_inv = query.base.inverse()
+    target = base_inv.matmul(query.target)
+    core = batch_orthonormalize(base_inv.entries @ f.frame).T @ target.entries
+
+    def objective(h_raw):
+        h = project_chamber(h_raw)
+        svals = np.linalg.svd(np.exp(-h)[:, None] * core, compute_uv=False)
+        if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
+            return 1e18
+        logs = np.log(svals)
+        return float(np.linalg.norm(logs - logs.mean()))
+
+    n = target.n
+    kappa_t = cartan_projection(target).coords
+    scale = max(float(np.linalg.norm(kappa_t)), 1.0)
+    best_h = project_chamber(kappa_t)
+    best = objective(best_h)
+    if best <= query.R:
+        return "kappa", MembershipResult(True, best, CartanVector(best_h))
+    seeds = [np.zeros(n)]
+    for ray in symshadow._chamber_rays(n, rays):
+        for t in np.linspace(0.0, 1.5 * scale, radii):
+            seeds.append(t * ray)
+    for h in seeds:
+        val = objective(h)
+        if val < best:
+            best, best_h = val, project_chamber(h)
+            if best <= query.R * 0.5:
+                return "grid", MembershipResult(True, best, CartanVector(best_h))
+    branch = "near" if best <= query.R else "refine"
+    res = scipy.optimize.minimize(
+        objective, best_h, method="Nelder-Mead",
+        options={"maxiter": refine_iters, "xatol": 1e-8, "fatol": 1e-10},
+    )
+    if res.fun < best:
+        best, best_h = float(res.fun), project_chamber(res.x)
+    return branch, MembershipResult(bool(best <= query.R), best, CartanVector(best_h))
+
+
+def membership_cases(n, count, seed):
+    """Seeded (query, flag) pairs: spread targets, random or near-own or repelling flags."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = np.exp(rng.uniform(-3.0, 3.0, n))
+        target = random_unimodular(rng, n).matmul(GroupElement.from_matrix(np.diag(d / np.prod(d) ** (1 / n))))
+        base = GroupElement.identity(n) if i % 2 == 0 else random_unimodular(rng, n)
+        k = base.entries @ kak_decomposition(base.inverse().matmul(target)).k
+        frame = [haar_frames(rng, n, 1)[0], k + 0.05 * rng.standard_normal((n, n)), k[:, ::-1]][i % 3]
+        R = float(rng.choice([0.05, 0.3, 1.0, 3.0, 6.0]))
+        yield SymShadowQuery(base, target, R), Flag(batch_orthonormalize(frame))
+
+
 class TestChamberProjection:
-    def test_idempotent_and_feasible(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            v = rng.standard_normal(4) * 3
-            p = project_chamber(v)
-            assert abs(p.sum()) < 1e-9
-            assert np.all(np.diff(p) <= 1e-12)
-            assert np.allclose(project_chamber(p), p, atol=1e-12)
+    @staticmethod
+    def extreme_rays(n):
+        return [np.array([1.0] * i + [0.0] * (n - i)) - i / n for i in range(1, n)]
+
+    @given(st.integers(2, 5).flatmap(lambda n: st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+    def test_idempotent_and_feasible(self, v):
+        p = project_chamber(v)
+        assert abs(p.sum()) < 1e-9
+        assert np.all(np.diff(p) <= 0)
+        assert np.allclose(project_chamber(p), p, atol=1e-12)
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(-50, 50), min_size=n, max_size=n),
+                st.lists(st.floats(0, 10), min_size=n - 1, max_size=n - 1),
+            )
+        )
+    )
+    def test_closest_chamber_point(self, args):
+        # variational inequality <v - p, c - p> <= 0 for every chamber point c
+        v, weights = np.array(args[0]), args[1]
+        p = project_chamber(v)
+        rays = self.extreme_rays(len(v))
+        for c in rays + [10 * r for r in rays] + [sum(w * r for w, r in zip(weights, rays))]:
+            assert np.dot(v - p, c - p) <= 1e-9 * (1 + np.linalg.norm(v) * (1 + np.linalg.norm(c)))
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.lists(
+                st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, -2.5])),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_nonincreasing_input_is_only_centered(self, h):
+        # the stacked grid relies on this: no block merges, bit for bit
+        h = np.array(sorted(h, reverse=True))
+        assert project_chamber(h).tobytes() == (h - h.sum() / len(h)).tobytes()
 
     def test_projection_is_closest_point(self):
         # brute force over a grid for n=2: chamber is {(t, -t), t >= 0}
@@ -111,6 +209,19 @@ class TestMembership:
             SymShadowQuery(h, h.matmul(g), 0.25), act_on_flag(h, f)
         )
         assert direct.member == translated.member
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_grid_matches_seed_scan(self, n):
+        branches = set()
+        for query, f in membership_cases(n, 24, seed=40 + n):
+            branch, want = scan_membership(query, f)
+            got = sym_shadow_membership(query, f)
+            branches.add(branch)
+            assert got.member == want.member
+            assert float(got.achieved).hex() == float(want.achieved).hex()
+            assert [x.hex() for x in got.minimizer.coords] == [x.hex() for x in want.minimizer.coords]
+        # "near" is where an exit at R instead of R/2 would return early
+        assert {"kappa", "near", "refine"} <= branches
 
 
 class TestRayDistanceBound:
@@ -194,10 +305,37 @@ class TestFlagShadowInsideSymShadow:
         ids=["n2", "n3"],
     )
     def test_rows_match_per_radius_reports(self, g, radii):
-        rows, r_min = calibrate_radius(g, 0.1, radii, probe_budget=8, seed=5)
-        reports = [flag_shadow_in_sym_shadow(g, 0.1, R, probe_budget=8, seed=5, cert=None) for R in radii]
-        assert rows == [(0.1, g.n, R, rep.violations, rep.probes) for R, rep in zip(radii, reports)]
-        assert r_min == next((R for R, rep in zip(radii, reports) if rep.holds), None)
+        for seed in (0, 5, 11):
+            # add a radius strictly between two probes' missed distances at the smallest radius
+            cert = contraction._certify_at_eps_or_2eps(
+                g, 0.1, contraction.MIN_BUDGET, contraction.DEFAULT_GAP_TOL, seed
+            )
+            missed = sorted(set(symshadow._missed_probes(g, cert, 0.1, radii[0], 8, seed)[0]))
+            assert len(missed) >= 2
+            swept = sorted(radii + [(missed[0] + missed[1]) / 2])
+            rows, r_min = calibrate_radius(g, 0.1, swept, probe_budget=8, seed=seed)
+            reports = [flag_shadow_in_sym_shadow(g, 0.1, R, probe_budget=8, seed=seed, cert=None) for R in swept]
+            assert rows == [(0.1, g.n, R, rep.violations, rep.probes) for R, rep in zip(swept, reports)]
+            assert r_min == next((R for R, rep in zip(swept, reports) if rep.holds), None)
+
+    def test_unsorted_and_duplicate_radii(self):
+        rows, r_min = calibrate_radius(SL3_POWER, 0.1, [4.0, 0.25, 1.0, 0.25, 1.0], probe_budget=8, seed=3)
+        swept = [0.25, 0.25, 1.0, 1.0, 4.0]
+        reports = [flag_shadow_in_sym_shadow(SL3_POWER, 0.1, R, probe_budget=8, seed=3) for R in swept]
+        assert rows == [(0.1, 3, R, rep.violations, rep.probes) for R, rep in zip(swept, reports)]
+        assert r_min == next((R for R, rep in zip(swept, reports) if rep.holds), None)
+
+    def test_no_radii_still_certifies_once(self, monkeypatch):
+        calls = []
+        check = contraction.check_contracting
+        monkeypatch.setattr(contraction, "check_contracting", lambda *a, **k: calls.append(a) or check(*a, **k))
+        assert calibrate_radius(SL3_POWER, 0.1, radii=[], probe_budget=8) == ([], None)
+        assert len(calls) == 1
+
+    def test_zero_budget_rows_are_vacuous(self):
+        rows, r_min = calibrate_radius(SL3_POWER, 0.1, radii=[1.0, 0.25, 4.0], probe_budget=0)
+        assert rows == [(0.1, 3, R, 0, 0) for R in (0.25, 1.0, 4.0)]
+        assert r_min == 0.25
 
     def test_zero_budget_vacuous(self, strong_rational_pair):
         rep = flag_shadow_in_sym_shadow(strong_rational_pair[0], 0.1, R=1.0, probe_budget=0)
