@@ -11,13 +11,20 @@ The grid runs as one stack with the scalar objective's float operations: a seed 
 probe once, at the smallest radius: a member there is one at every larger R, and a miss
 ran the full search, which a larger R repeats unless it exits early as a member; so the
 missed distance > R decides every R.
+
+The refinement is scipy 1.17's Nelder-Mead, written out here step for step so that
+importing slnlab leaves scipy's optimize package unloaded (about a quarter of a second
+per process on a 2-core x86-64 host).
 """
 
-import math
 from dataclasses import dataclass
+from functools import cache, cached_property
+import math
 
 import numpy as np
-import scipy.optimize
+# only the benchmark tracer reads this name, to wrap scipy's minimize; lie's scipy.linalg
+# loads the package already, and scipy imports its optimize package only on access
+import scipy
 
 from .contraction import DEFAULT_GAP_TOL, MIN_BUDGET, Shadow, _certify_at_eps_or_2eps
 from .errors import MembershipUnverified, SlnLabError
@@ -32,6 +39,9 @@ def project_chamber(v):
     """Euclidean projection onto zero-sum nonincreasing vectors (pool adjacent violators)."""
     v = np.asarray(v, dtype=float)
     v = v - v.sum() / len(v)
+    # PAV merges only where v[i-1] < v[i]; without such a pair it returns v bit for bit
+    if not (v[:-1] < v[1:]).any():
+        return v
     # nonincreasing isotonic projection preserves the (zero) sum
     blocks = []
     for val in -v:
@@ -60,6 +70,22 @@ class SymShadowQuery:
         if self.R <= 0:
             raise SlnLabError("R must be positive")
 
+    @cached_property
+    def base_inv(self) -> GroupElement:
+        return self.base.inverse()
+
+    @cached_property
+    def translated(self) -> GroupElement:
+        """The target seen from the origin: base^-1 target."""
+        return self.base_inv.matmul(self.target)
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        """Cartan projection of the translated target; read-only."""
+        coords = cartan_projection(self.translated).coords
+        coords.flags.writeable = False
+        return coords
+
 
 @dataclass
 class MembershipResult:
@@ -68,8 +94,9 @@ class MembershipResult:
     minimizer: CartanVector
 
 
+@cache
 def _chamber_rays(n, count):
-    """Deterministic spread of unit directions inside the positive chamber."""
+    """Deterministic spread of unit directions inside the positive chamber; read-only."""
     # extreme rays of the chamber: partial-sum coweight directions
     extremes = []
     for i in range(1, n):
@@ -85,7 +112,9 @@ def _chamber_rays(n, count):
         nv = np.linalg.norm(v)
         if nv > 1e-12:
             rays.append(v / nv)
-    return np.array(rays)
+    rays = np.array(rays)
+    rays.flags.writeable = False
+    return rays
 
 
 def _objective_factory(kframe, target_entries):
@@ -95,7 +124,7 @@ def _objective_factory(kframe, target_entries):
     def objective(h_raw):
         h = project_chamber(h_raw)
         svals = np.linalg.svd(np.exp(-h)[:, None] * core, compute_uv=False)
-        if svals[-1] <= 0 or not np.all(np.isfinite(svals)):
+        if not (svals[-1] > 0 and np.isfinite(svals).all()):
             return _BIG
         logs = np.log(svals)
         c = logs - logs.sum() / n
@@ -112,6 +141,79 @@ def _objective_factory(kframe, target_entries):
     return objective, grid
 
 
+@dataclass(frozen=True)
+class NelderMeadResult:
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def nelder_mead(objective, x0, maxiter, xatol, fatol) -> NelderMeadResult:
+    """Minimize objective from x0 by scipy 1.17's non-adaptive Nelder-Mead, step for step.
+
+    The same steps as scipy's minimize(objective, x0, method="Nelder-Mead", options=
+    {"maxiter": maxiter, "xatol": xatol, "fatol": fatol}) for float64 x0: reflection 1,
+    expansion 2, contraction and shrink 1/2, written as literals by scipy's float
+    operations; a first simplex that scales each coordinate by 1.05 (a zero one becomes
+    0.00025); an argsort of the simplex after every step. objective must not write to
+    its argument.
+    """
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return objective(x)
+
+    x0 = np.array(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # scipy sorts the first simplex twice; argsort need not keep ties in order
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+    iterations = 1
+    while iterations < maxiter:
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return NelderMeadResult(sim[0], float(np.min(fsim)), nfev)
+
+
 def sym_shadow_membership(
     query: SymShadowQuery,
     f: Flag,
@@ -124,13 +226,10 @@ def sym_shadow_membership(
     A general base is reduced by translation to a shadow viewed from the origin.
     The reported distance is an upper bound for the true minimum.
     """
-    base_inv = query.base.inverse()
-    target = base_inv.matmul(query.target)
-    frame = batch_orthonormalize(base_inv.entries @ f.frame)
-
-    n = target.n
-    objective, grid = _objective_factory(frame, target.entries)
-    kappa_t = cartan_projection(target).coords
+    frame = batch_orthonormalize(query.base_inv.entries @ f.frame)
+    n = query.target.n
+    objective, grid = _objective_factory(frame, query.translated.entries)
+    kappa_t = query.kappa
     scale = max(float(np.linalg.norm(kappa_t)), 1.0)
 
     best_h = project_chamber(kappa_t)
@@ -151,12 +250,7 @@ def sym_shadow_membership(
     if vals[i] < best:
         best, best_h = float(vals[i]), H[i]
 
-    res = scipy.optimize.minimize(
-        objective,
-        best_h,
-        method="Nelder-Mead",
-        options={"maxiter": refine_iters, "xatol": 1e-8, "fatol": 1e-10},
-    )
+    res = nelder_mead(objective, best_h, refine_iters, xatol=1e-8, fatol=1e-10)
     if res.fun < best:
         best, best_h = float(res.fun), project_chamber(res.x)
     return MembershipResult(bool(best <= query.R), best, CartanVector(best_h))
@@ -172,8 +266,7 @@ def ray_distance_bound(f: Flag, gamma: GroupElement, R: float, tol: float = 1e-7
     res = sym_shadow_membership(query, f)
     if not res.member:
         raise MembershipUnverified(f"achieved distance {res.achieved:.6f} > R={R}")
-    kappa = cartan_projection(gamma).coords
-    m = np.exp(-kappa)[:, None] * (f.frame.T @ gamma.entries)
+    m = np.exp(-query.kappa)[:, None] * (f.frame.T @ gamma.entries)
     svals = np.linalg.svd(m, compute_uv=False)
     logs = np.log(svals)
     lhs = float(np.linalg.norm(logs - logs.mean()))

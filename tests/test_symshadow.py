@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -100,6 +102,109 @@ def membership_cases(n, count, seed):
         yield SymShadowQuery(base, target, R), Flag(batch_orthonormalize(frame))
 
 
+def pav_reference(v):
+    """project_chamber without its early return: the pool-adjacent-violators loop alone."""
+    v = np.asarray(v, dtype=float)
+    v = v - v.sum() / len(v)
+    blocks = []
+    for val in -v:
+        blocks.append([val, 1.0])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            b = blocks.pop()
+            a = blocks[-1]
+            tot = a[1] + b[1]
+            a[0] = (a[0] * a[1] + b[0] * b[1]) / tot
+            a[1] = tot
+    out = []
+    for val, w in blocks:
+        out.extend([val] * int(round(w)))
+    return -np.asarray(out)
+
+
+def rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def plateau(x):
+    # steps of 1/4 in the 1-norm: flat stretches tie simplex values and force shrinks
+    return math.floor(4 * np.abs(x - 0.3).sum()) / 4
+
+
+def nelder_mead_cases(name):
+    """(objective, x0, maxiter) triples of one named kind."""
+    if name.startswith("membership"):
+        n = int(name[-1])
+        cases = []
+        for query, f in membership_cases(n, 6, seed=70 + n):
+            frame = batch_orthonormalize(query.base_inv.entries @ f.frame)
+            objective = symshadow._objective_factory(frame, query.translated.entries)[0]
+            cases += [(objective, project_chamber(query.kappa), 200), (objective, np.zeros(n), 200)]
+        return cases
+    return {
+        "rosenbrock": [(rosenbrock, np.array([-1.2, 1.0]), 200), (rosenbrock, np.array([1.3, 0.7, 0.8, 1.9]), 400)],
+        "plateau": [(plateau, np.array([0.0, 2.0, -1.0]), 200), (plateau, np.array([5.0, 5.0]), 200)],
+        "zero-coordinates": [(rosenbrock, np.array([0.0, 1.0, 0.0]), 200)],
+        "maxiter-3": [(rosenbrock, np.array([-1.2, 1.0]), 3)],
+    }[name]
+
+
+NELDER_MEAD_KINDS = ["membership-n2", "membership-n3", "membership-n4", "rosenbrock", "plateau",
+                     "zero-coordinates", "maxiter-3"]
+
+# the line of nelder_mead that only each kind of step runs
+NELDER_MEAD_STEPS = {
+    "expansion": "xe = 3 * xbar - 2 * sim[-1]",
+    "reflection": "sim[-1], fsim[-1] = xr, fxr",
+    "outside contraction": "sim[-1], fsim[-1] = xc, fxc",
+    "inside contraction": "sim[-1], fsim[-1] = xcc, fxcc",
+    "shrink": "sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])",
+}
+
+
+def executed_lines(fn, *args):
+    """Line numbers of fn's own frame that a call fn(*args) runs."""
+    code, seen = fn.__code__, set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+class TestNelderMead:
+    @pytest.mark.parametrize("kind", NELDER_MEAD_KINDS)
+    def test_matches_scipy_step_for_step(self, kind):
+        for objective, x0, maxiter in nelder_mead_cases(kind):
+            want = scipy.optimize.minimize(
+                objective, x0, method="Nelder-Mead", options={"maxiter": maxiter, "xatol": 1e-8, "fatol": 1e-10}
+            )
+            got = symshadow.nelder_mead(objective, x0, maxiter, xatol=1e-8, fatol=1e-10)
+            assert [x.hex() for x in got.x] == [float(x).hex() for x in want.x]
+            assert float(got.fun).hex() == float(want.fun).hex()
+            assert got.nfev == want.nfev
+
+    def test_every_kind_of_step_runs(self):
+        lines, start = inspect.getsourcelines(symshadow.nelder_mead)
+        step_lines = {
+            step: start + next(i for i, line in enumerate(lines) if text in line)
+            for step, text in NELDER_MEAD_STEPS.items()
+        }
+        seen = set()
+        for kind in NELDER_MEAD_KINDS:
+            for objective, x0, maxiter in nelder_mead_cases(kind):
+                seen |= executed_lines(symshadow.nelder_mead, objective, x0, maxiter, 1e-8, 1e-10)
+        assert {step for step, line in step_lines.items() if line not in seen} == set()
+
+
 class TestChamberProjection:
     @staticmethod
     def extreme_rays(n):
@@ -140,6 +245,23 @@ class TestChamberProjection:
         # the stacked grid relies on this: no block merges, bit for bit
         h = np.array(sorted(h, reverse=True))
         assert project_chamber(h).tobytes() == (h - h.sum() / len(h)).tobytes()
+
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 1.0, math.nan])),
+                    min_size=n, max_size=n,
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    def test_early_return_matches_pool_adjacent_violators(self, args):
+        v, nonincreasing = args
+        if nonincreasing:
+            v = sorted(v, reverse=True)
+        assert project_chamber(v).tobytes() == pav_reference(v).tobytes()
 
     def test_projection_is_closest_point(self):
         # brute force over a grid for n=2: chamber is {(t, -t), t >= 0}
@@ -324,6 +446,14 @@ class TestFlagShadowInsideSymShadow:
         reports = [flag_shadow_in_sym_shadow(SL3_POWER, 0.1, R, probe_budget=8, seed=3) for R in swept]
         assert rows == [(0.1, 3, R, rep.violations, rep.probes) for R, rep in zip(swept, reports)]
         assert r_min == next((R for R, rep in zip(swept, reports) if rep.holds), None)
+
+    def test_calibration_projects_its_target_once(self, monkeypatch):
+        calls = []
+        project = symshadow.cartan_projection
+        monkeypatch.setattr(symshadow, "cartan_projection", lambda g: calls.append(g) or project(g))
+        rows, _ = calibrate_radius(SL3_POWER, 0.1, [0.25, 1.0, 4.0], probe_budget=8)
+        assert rows[0][4] == 8
+        assert len(calls) == 1
 
     def test_no_radii_still_certifies_once(self, monkeypatch):
         calls = []
