@@ -39,9 +39,6 @@ def project_chamber(v):
     """Euclidean projection onto zero-sum nonincreasing vectors (pool adjacent violators)."""
     v = np.asarray(v, dtype=float)
     v = v - v.sum() / len(v)
-    # PAV merges only where v[i-1] < v[i]; without such a pair it returns v bit for bit
-    if not (v[:-1] < v[1:]).any():
-        return v
     # nonincreasing isotonic projection preserves the (zero) sum
     blocks = []
     for val in -v:
