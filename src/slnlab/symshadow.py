@@ -22,8 +22,9 @@ from functools import cache, cached_property
 import math
 
 import numpy as np
-# only the benchmark tracer reads this name, to wrap scipy's minimize; lie's scipy.linalg
-# loads the package already, and scipy imports its optimize package only on access
+# kept only for the benchmark tracer, which reads this name to wrap scipy's minimize
+# (ROADMAP item 1(d)); the bare package costs about 10 ms and imports neither its
+# linalg nor its optimize package until they are accessed
 import scipy
 
 from .contraction import DEFAULT_GAP_TOL, MIN_BUDGET, Shadow, _certify_at_eps_or_2eps

@@ -1,7 +1,10 @@
+from fractions import Fraction
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
+import scipy.linalg
 from mpmath import mp
 
 from slnlab import (
@@ -24,6 +27,7 @@ from slnlab import (
     symmetric_space_distance,
     flag_from_frame,
 )
+from slnlab import lie
 
 
 def diag(*vals):
@@ -186,6 +190,107 @@ class TestJordanProjection:
         lam = jordan_projection(g).coords
         k64 = cartan_of_power(g, 64).coords / 64
         assert np.linalg.norm(lam - k64) < 1e-4
+
+
+def schur_moduli(m):
+    """Eigenvalue moduli from the real Schur form; conjugate pairs read off 2x2 blocks."""
+    t = scipy.linalg.schur(m, output="real")[0]
+    moduli = []
+    i = 0
+    while i < len(t):
+        if i + 1 < len(t) and t[i + 1, i] != 0.0:
+            r = math.sqrt(abs(t[i, i] * t[i + 1, i + 1] - t[i, i + 1] * t[i + 1, i]))
+            moduli += [r, r]
+            i += 2
+        else:
+            moduli.append(abs(t[i, i]))
+            i += 1
+    return np.sort(moduli)[::-1]
+
+
+@pytest.fixture(scope="module")
+def sl3_pair():
+    """The SL(3) pair of the golden runs."""
+    pair = ([[1, 1, 0], [1, 2, 1], [0, 1, 2]], [[2, 0, 1], [1, 1, 1], [1, 0, 1]])
+    return [GroupElement.from_exact(m) for m in pair]
+
+
+class TestJordanAgainstSchur:
+    """jordan_projection's eigvals moduli against a real-Schur-form oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))
+    def test_random_unimodular(self, seed, n):
+        g = random_unimodular(np.random.default_rng(seed), n)
+        oracle = np.log(schur_moduli(g.entries))
+        oracle -= oracle.mean()
+        err = np.abs(jordan_projection(g).coords - oracle).max()
+        assert err <= 1e-9 * max(1.0, np.abs(oracle).max())
+
+    @pytest.mark.parametrize(
+        "pair,radius", [("sanov_pair", 6), ("sl3_pair", 5), ("strong_rational_pair", 6)]
+    )
+    def test_balls_route_and_decide_as_the_oracle(self, pair, radius, request, monkeypatch):
+        gens = request.getfixturevalue(pair)
+        ball = enumerate_ball(gens, radius, include_inverses=True)
+        routed = []
+        eig = lie.mp.eig
+
+        def counted_eig(m):
+            routed.append(m)
+            return eig(m)
+
+        monkeypatch.setattr(lie.mp, "eig", counted_eig)
+        route_diffs, lox_diffs, n_routed = [], [], 0
+        for word, g in zip(ball.words, ball.elements()):
+            before = len(routed)
+            lam = jordan_projection(g)
+            took_mp = len(routed) > before
+            moduli = schur_moduli(g.entries)
+            if took_mp != lie._needs_extended(moduli):
+                route_diffs.append(word)
+            n_routed += took_mp
+            # a routed row reads mpmath's eigenvalues on either path
+            if not took_mp:
+                oracle = lie._chamber(np.log(moduli))
+                if lie.has_loxodromic_gaps(lam, 1e-6) != lie.has_loxodromic_gaps(oracle, 1e-6):
+                    lox_diffs.append(word)
+        assert route_diffs == []
+        assert lox_diffs == []
+        assert (n_routed > 0) == (pair == "strong_rational_pair")
+
+
+class TestJordanMisreadings:
+    """Two float64 misreadings of the Jordan projection that stand on both the eigvals
+    and the Schur path; the n = 2 closed form from the integer or rational trace would
+    mend both."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a defective eigenvalue carries about sqrt(eps * |g|) of float64 noise, "
+        "above gap_tol 1e-6: 12 of the 264 parabolic words of the radius-7 Sanov ball "
+        "read as loxodromic (16 through a Schur form); no hyperbolic word is misread",
+    )
+    def test_parabolic_words_are_not_loxodromic(self, sanov_pair):
+        ball = enumerate_ball(sanov_pair, 7, dedup="float", include_inverses=True)
+        wrong = []
+        for word, g in zip(ball.words, ball.elements()):
+            den, rows = g.exact
+            if is_loxodromic(g) != (abs(Fraction(rows[0][0] + rows[1][1], den)) > 2):
+                wrong.append(word)
+        assert wrong == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for b^-1 a^3 b on the strong pair the float moduli are [3.24e6, 0.026]: "
+        "the range guard compares the small modulus with the large one, but its error "
+        "scales with |g|^2 / lambda_max (|g| about 3.4e10), so the chamber reads "
+        "+-9.32 instead of +-3 log 148 = +-14.99",
+    )
+    def test_deep_strong_conjugate(self, strong_rational_pair):
+        a, b = strong_rational_pair
+        g = b.inverse().matmul(a.matmul(a).matmul(a)).matmul(b)
+        lam = 3 * math.log(148)
+        assert np.abs(jordan_projection(g).coords - [lam, -lam]).max() < 1e-9
 
 
 class TestOppositionInvolution:
