@@ -9,22 +9,23 @@ positive membership verdict is certain and a negative one is best-effort.
 The grid runs as one stack with the scalar objective's float operations: a seed t*ray
 (t >= 0) is nonincreasing, so projecting it only centers it. Calibration searches each
 probe once, at the smallest radius: a member there is one at every larger R, and a miss
-ran the full search, which a larger R repeats unless it exits early as a member; so the
-missed distance > R decides every R.
+ran the full search, which a larger R repeats unless the kappa point, whose distance
+bounds the search's, is within R; so the missed distance > R decides every R.
 
 The refinement is scipy 1.17's Nelder-Mead, written out here step for step so that
 importing slnlab leaves scipy's optimize package unloaded (about a quarter of a second
-per process on a 2-core x86-64 host).
+per process on a 2-core x86-64 host). Its simplex and the chamber projection run on
+Python floats: an evaluation calls numpy for one exp, one SVD and one log (and the
+arithmetic after it), a step for one argsort.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 import math
+from operator import add
 
 import numpy as np
-# kept only for the benchmark tracer, which reads this name to wrap scipy's minimize
-# (ROADMAP item 1(d)); the bare package costs about 10 ms and imports neither its
-# linalg nor its optimize package until they are accessed
+# only the benchmark tracer reads this (ROADMAP item 1(d)); it loads neither linalg nor optimize
 import scipy
 
 from .contraction import DEFAULT_GAP_TOL, MIN_BUDGET, Shadow, _certify_at_eps_or_2eps
@@ -38,22 +39,24 @@ _BIG = 1e18
 
 def project_chamber(v):
     """Euclidean projection onto zero-sum nonincreasing vectors (pool adjacent violators)."""
-    v = np.asarray(v, dtype=float)
-    v = v - v.sum() / len(v)
+    return -np.array(_negated_projection(np.asarray(v, dtype=float).tolist()))
+
+
+def _negated_projection(v):
+    """-project_chamber(v) as a list, from a sequence of floats, by numpy's float operations."""
+    # added in order from 0.0, as numpy adds under 8 terms; builtin sum compensates from 3.12
+    mean = reduce(add, v, 0.0) / len(v)
     # nonincreasing isotonic projection preserves the (zero) sum
     blocks = []
-    for val in -v:
-        blocks.append([val, 1.0])
+    for x in v:
+        blocks.append([-(x - mean), 1])
         while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
             b = blocks.pop()
             a = blocks[-1]
             tot = a[1] + b[1]
             a[0] = (a[0] * a[1] + b[0] * b[1]) / tot
             a[1] = tot
-    out = []
-    for val, w in blocks:
-        out.extend([val] * int(round(w)))
-    return -np.asarray(out)
+    return [val for val, w in blocks for _ in range(w)]
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,9 @@ def _objective_factory(kframe, target_entries):
     n = len(core)
 
     def objective(h_raw):
-        h = project_chamber(h_raw)
-        svals = np.linalg.svd(np.exp(-h)[:, None] * core, compute_uv=False)
-        if not (svals[-1] > 0 and np.isfinite(svals).all()):
+        svals = np.linalg.svd(np.exp(_negated_projection(h_raw))[:, None] * core, compute_uv=False)
+        s = svals.tolist()
+        if not (s[-1] > 0 and all(map(math.isfinite, s))):
             return _BIG
         logs = np.log(svals)
         c = logs - logs.sum() / n
@@ -153,8 +156,8 @@ def nelder_mead(objective, x0, maxiter, xatol, fatol) -> NelderMeadResult:
     {"maxiter": maxiter, "xatol": xatol, "fatol": fatol}) for float64 x0: reflection 1,
     expansion 2, contraction and shrink 1/2, written as literals by scipy's float
     operations; a first simplex that scales each coordinate by 1.05 (a zero one becomes
-    0.00025); an argsort of the simplex after every step. objective must not write to
-    its argument.
+    0.00025); an argsort of the simplex after every step. Vertices are lists of floats,
+    added in order from 0.0 as numpy's row sum adds them; objective must not write to one.
     """
     nfev = 0
 
@@ -163,40 +166,41 @@ def nelder_mead(objective, x0, maxiter, xatol, fatol) -> NelderMeadResult:
         nfev += 1
         return objective(x)
 
-    x0 = np.array(x0, dtype=float).ravel()
+    x0 = np.asarray(x0, dtype=float).ravel().tolist()
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = [list(x0) for _ in range(n + 1)]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(x) for x in sim], dtype=float)
+        sim[k + 1][k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = [f(x) for x in sim]
     # scipy sorts the first simplex twice; argsort need not keep ties in order
     for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
 
     iterations = 1
     while iterations < maxiter:
-        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+        if (all(abs(x - b) <= xatol for v in sim[1:] for x, b in zip(v, sim[0]))
+                and all(abs(fsim[0] - fv) <= fatol for fv in fsim[1:])):
             break
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
+        xr = [2 * c - w for c, w in zip(xbar, sim[-1])]
         fxr = f(xr)
         shrink = False
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * c - 2 * w for c, w in zip(xbar, sim[-1])]
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-1]:
-            xc = 1.5 * xbar - 0.5 * sim[-1]
+            xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, sim[-1])]
             fxc = f(xc)
             if fxc <= fxr:
                 sim[-1], fsim[-1] = xc, fxc
             else:
                 shrink = True
         else:
-            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, sim[-1])]
             fxcc = f(xcc)
             if fxcc < fsim[-1]:
                 sim[-1], fsim[-1] = xcc, fxcc
@@ -204,12 +208,12 @@ def nelder_mead(objective, x0, maxiter, xatol, fatol) -> NelderMeadResult:
                 shrink = True
         if shrink:
             for j in range(1, n + 1):
-                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                sim[j] = [b + 0.5 * (x - b) for b, x in zip(sim[0], sim[j])]
                 fsim[j] = f(sim[j])
         iterations += 1
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return NelderMeadResult(sim[0], float(np.min(fsim)), nfev)
+        order = np.argsort(fsim).tolist()
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+    return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), nfev)
 
 
 def sym_shadow_membership(
@@ -240,10 +244,6 @@ def sym_shadow_membership(
     H = np.concatenate([np.zeros((1, n)), (_chamber_rays(n, rays)[:, None, :] * ts[:, None]).reshape(-1, n)])
     H = H - (H.sum(axis=1) / n)[:, None]
     vals = grid(H)
-    # a seed-by-seed scan stops at the first seed at or below R/2
-    exits = np.flatnonzero(vals <= query.R * 0.5)
-    if exits.size:
-        return MembershipResult(True, float(vals[exits[0]]), CartanVector(H[exits[0]]))
     i = int(np.argmin(vals))
     if vals[i] < best:
         best, best_h = float(vals[i]), H[i]

@@ -130,6 +130,24 @@ class TestCartanProjection:
         assert abs(k.sum()) < 1e-9
         assert k[0] > 40.0
 
+    def test_extended_precision_reads_the_module_name_mp(self, monkeypatch):
+        # the benchmark tracer counts mpmath fallbacks by replacing lie.mp with a proxy;
+        # an mp imported inside the function would bypass it
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(mp, name)
+
+            def svd_r(self, *args, **kwargs):
+                calls.append(args)
+                return mp.svd_r(*args, **kwargs)
+
+        monkeypatch.setattr(lie, "mp", Counting())
+        d5 = GroupElement.from_exact([[148**5, 0], [0, "1/" + str(148**5)]])
+        assert cartan_projection(d5).coords[0] > 20.0
+        assert len(calls) == 1
+
 
 class TestKAK:
     def test_identity(self):

@@ -46,9 +46,7 @@ def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
     """(branch, result) of the seed-by-seed grid scan that the stacked grid replaced,
     with the objective written by mean and norm.
 
-    The branch is "kappa", "grid" (a seed at or below R/2), "near" (refinement after a
-    seed at or below R) or "refine". By the 1-Lipschitz Cartan projection a seed h within
-    R/2 puts the kappa point within |kappa - h| + R/2 <= R, so "grid" needs rounding.
+    The branch is "kappa", "near" (refinement after a seed at or below R) or "refine".
     """
     base_inv = query.base.inverse()
     target = base_inv.matmul(query.target)
@@ -77,8 +75,6 @@ def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
         val = objective(h)
         if val < best:
             best, best_h = val, project_chamber(h)
-            if best <= query.R * 0.5:
-                return "grid", MembershipResult(True, best, CartanVector(best_h))
     branch = "near" if best <= query.R else "refine"
     res = scipy.optimize.minimize(
         objective, best_h, method="Nelder-Mead",
@@ -103,16 +99,38 @@ def membership_cases(n, count, seed):
 
 
 def rosenbrock(x):
+    # nelder_mead passes a list, scipy an array
+    x = np.asarray(x)
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
 
 
 def plateau(x):
     # steps of 1/4 in the 1-norm: flat stretches tie simplex values and force shrinks
+    x = np.asarray(x)
     return math.floor(4 * np.abs(x - 0.3).sum()) / 4
+
+
+def quiet_overflow(objective):
+    def quiet(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return objective(x)
+
+    return quiet
 
 
 def nelder_mead_cases(name):
     """(objective, x0, maxiter) triples of one named kind."""
+    if name == "overflow":
+        # far out along a chamber ray vertices tie at _BIG: their smallest singular value
+        # rounds to 0, or the SVD of exp's huge (past 709, infinite) entries gives NaN
+        cases = []
+        for n in (3, 4):
+            ray = symshadow._chamber_rays(n, 9)[0]
+            for query, f in membership_cases(n, 2, seed=80 + n):
+                frame = batch_orthonormalize(query.base_inv.entries @ f.frame)
+                objective = quiet_overflow(symshadow._objective_factory(frame, query.translated.entries)[0])
+                cases += [(objective, t / -ray[-1] * ray, 200) for t in (200.0, 705.0, 2000.0)]
+        return cases
     if name.startswith("membership"):
         n = int(name[-1])
         cases = []
@@ -129,16 +147,16 @@ def nelder_mead_cases(name):
     }[name]
 
 
-NELDER_MEAD_KINDS = ["membership-n2", "membership-n3", "membership-n4", "rosenbrock", "plateau",
-                     "zero-coordinates", "maxiter-3"]
+NELDER_MEAD_KINDS = ["membership-n2", "membership-n3", "membership-n4", "overflow", "rosenbrock",
+                     "plateau", "zero-coordinates", "maxiter-3"]
 
 # the line of nelder_mead that only each kind of step runs
 NELDER_MEAD_STEPS = {
-    "expansion": "xe = 3 * xbar - 2 * sim[-1]",
+    "expansion": "xe = [3 * c - 2 * w for c, w in zip(xbar, sim[-1])]",
     "reflection": "sim[-1], fsim[-1] = xr, fxr",
     "outside contraction": "sim[-1], fsim[-1] = xc, fxc",
     "inside contraction": "sim[-1], fsim[-1] = xcc, fxcc",
-    "shrink": "sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])",
+    "shrink": "sim[j] = [b + 0.5 * (x - b) for b, x in zip(sim[0], sim[j])]",
 }
 
 
@@ -188,6 +206,26 @@ class TestNelderMead:
             for objective, x0, maxiter in nelder_mead_cases(kind):
                 seen |= executed_lines(symshadow.nelder_mead, objective, x0, maxiter, 1e-8, 1e-10)
         assert {step for step, line in step_lines.items() if line not in seen} == set()
+
+    def test_overflow_vertices_tie_at_big(self):
+        for objective, x0, maxiter in nelder_mead_cases("overflow"):
+            first = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 1})
+            assert list(first.final_simplex[1]).count(symshadow._BIG) >= 2
+
+    def test_membership_refines_through_the_module_name(self, monkeypatch):
+        # the benchmark tracer wraps symshadow.nelder_mead by name and reads .nfev
+        nelder_mead, runs = symshadow.nelder_mead, []
+
+        def counted(objective, *args, **kwargs):
+            made = []
+            res = nelder_mead(lambda x: made.append(x) or objective(x), *args, **kwargs)
+            runs.append((res.nfev, len(made)))
+            return res
+
+        monkeypatch.setattr(symshadow, "nelder_mead", counted)
+        for query, f in membership_cases(3, 6, seed=73):
+            sym_shadow_membership(query, f)
+        assert runs and all(nfev == made for nfev, made in runs)
 
 
 class TestChamberProjection:
@@ -310,7 +348,7 @@ class TestMembership:
             assert got.member == want.member
             assert float(got.achieved).hex() == float(want.achieved).hex()
             assert [x.hex() for x in got.minimizer.coords] == [x.hex() for x in want.minimizer.coords]
-        # "near" is where an exit at R instead of R/2 would return early
+        # "near" is where a grid exit at R would return early
         assert {"kappa", "near", "refine"} <= branches
 
 
