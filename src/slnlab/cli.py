@@ -85,7 +85,7 @@ def main(argv=None):
             else:
                 cfg = _load_config(args)
                 gens = cfg.generators()
-                epsilon = args.epsilon if args.epsilon is not None else cfg.epsilon
+                epsilon = cfg.epsilon
                 seed = cfg.seed
                 settings = {"budget": cfg.sample_budget, "gap_tol": cfg.gap_tol, "exact_check": cfg.exact_check}
             if epsilon is None:

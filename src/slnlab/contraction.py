@@ -42,7 +42,7 @@ from .flags import (
     opposite_distance,
     transversality_margin,
 )
-from .lie import GroupElement
+from .lie import DEFAULT_GAP_TOL, GroupElement
 from .sampling import band_flags_near, element_seed, perturbed_partners, rng_for, sample_flags_outside
 
 LIPSCHITZ_SAFETY = 1.5
@@ -50,7 +50,6 @@ DEFAULT_BUDGET = 4000
 MIN_BUDGET = 1000
 MAX_EPSILON = 1.0  # a contraction scale lies in (0, MAX_EPSILON)
 MIN_CROSSCHECK_LEN = 2
-DEFAULT_GAP_TOL = 1e-6
 
 # comparison -> (test, the text of its negation)
 _OPS = {">=": (operator.ge, "<"), "<=": (operator.le, ">"), ">": (operator.gt, "<=")}
@@ -390,7 +389,7 @@ def shadow_inclusion_check(
     eta: GroupElement,
     zeta_gen: GroupElement,
     epsilon: float,
-    budget: int = 1000,
+    budget: int = MIN_BUDGET,
     gap_tol: float = DEFAULT_GAP_TOL,
     seed: int = 0,
     gamma_cert: ContractionCertificate | None = None,
@@ -405,8 +404,8 @@ def shadow_inclusion_check(
     scale = max(1.0, float(np.max(np.abs(eta.entries))))
     if not np.allclose(prod, eta.entries, rtol=1e-9, atol=1e-9 * scale):
         raise SlnLabError("eta is not gamma * zeta within tolerance")
-    gamma_cert = gamma_cert or _certify_at_eps_or_2eps(gamma, epsilon, max(budget, 1000), gap_tol, seed)
-    eta_cert = eta_cert or _certify_at_eps_or_2eps(eta, epsilon, max(budget, 1000), gap_tol, seed)
+    gamma_cert = gamma_cert or _certify_at_eps_or_2eps(gamma, epsilon, max(budget, MIN_BUDGET), gap_tol, seed)
+    eta_cert = eta_cert or _certify_at_eps_or_2eps(eta, epsilon, max(budget, MIN_BUDGET), gap_tol, seed)
 
     pushed = Shadow(eta, eta_cert.repelling, 2 * epsilon).sample(rng_for(eta, seed), budget)
     return bool(np.all(Shadow(gamma, gamma_cert.repelling, 4 * epsilon).contains(pushed)))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotLoxodromic, RankDeficient, SlnLabError
-from .lie import GroupElement, is_loxodromic
+from .lie import DEFAULT_GAP_TOL, GroupElement, is_loxodromic
 
 _ORTHO_TOL = 1e-9
 
@@ -158,7 +158,7 @@ def transversality_margin(x: Flag, y: OppositeFlag) -> TransversalityMargin:
     return TransversalityMargin(float(batch_transversality_margin(x.frame, y.frame)))
 
 
-def fixed_flags(g: GroupElement, gap_tol: float = 1e-6):
+def fixed_flags(g: GroupElement, gap_tol: float = DEFAULT_GAP_TOL):
     """Attracting flag and repelling opposite flag of g, from one eigen-decomposition.
 
     The eigenvectors sorted by decreasing eigenvalue modulus span the attracting
@@ -173,12 +173,12 @@ def fixed_flags(g: GroupElement, gap_tol: float = 1e-6):
     return Flag(batch_orthonormalize(v)), OppositeFlag(batch_orthonormalize(v, reverse=True))
 
 
-def attracting_flag(g: GroupElement, gap_tol: float = 1e-6) -> Flag:
+def attracting_flag(g: GroupElement, gap_tol: float = DEFAULT_GAP_TOL) -> Flag:
     """Flag of the eigenvectors in decreasing-modulus order; fixed by the action."""
     return fixed_flags(g, gap_tol)[0]
 
 
-def repelling_flag(g: GroupElement, gap_tol: float = 1e-6) -> OppositeFlag:
+def repelling_flag(g: GroupElement, gap_tol: float = DEFAULT_GAP_TOL) -> OppositeFlag:
     """Opposite flag whose i-th subspace spans the i smallest-modulus eigenvectors."""
     return fixed_flags(g, gap_tol)[1]
 

@@ -13,8 +13,12 @@ import math
 import numpy as np
 
 from .errors import DegenerateFit, SlnLabError, TooFewRecords
-from .lie import CartanVector, cartan_projection, has_loxodromic_gaps, jordan_projection, min_root_value
+from .lie import DEFAULT_GAP_TOL, CartanVector, cartan_projection, has_loxodromic_gaps, jordan_projection
+from .lie import min_root_value
 from .orbits import Cone
+
+MIN_RECORDS = 100  # estimate_delta's sample floor
+_FIT_TRIM = 0.2  # the fraction of the norm range estimate_delta's fit drops at each end
 
 
 @dataclass
@@ -50,21 +54,16 @@ def poincare_partial_sum(ball, s: float) -> float:
     return math.fsum(math.exp(-s * x) for x in ball.norms)
 
 
-def estimate_delta(
-    ball,
-    bins: float = 0.5,
-    window: tuple = (0.2, 0.2),
-    min_records: int = 100,
-) -> GrowthReport:
+def estimate_delta(ball, bins: float = 0.5) -> GrowthReport:
     """Fit the exponential growth rate of cumulative orbit counts.
 
     Reads the ball's norms and word lengths. Cumulative counts N(T) are tabulated
     on a grid of the given bin width and log N(T) is regressed against T over a
-    window that drops the stated fractions of the T-range at both ends (small-T
+    window that drops _FIT_TRIM of the T-range at each end (small-T
     bins are lattice-noisy, large-T bins are deflated by ball truncation).
     """
-    if len(ball.norms) < min_records:
-        raise TooFewRecords(f"{len(ball.norms)} records < floor {min_records}")
+    if len(ball.norms) < MIN_RECORDS:
+        raise TooFewRecords(f"{len(ball.norms)} records < floor {MIN_RECORDS}")
     norms = np.sort(ball.norms)
     t_lo, t_hi = norms[0], norms[-1]
     if t_hi - t_lo < bins:
@@ -72,8 +71,8 @@ def estimate_delta(
     edges = np.arange(t_lo, t_hi + bins, bins)
     cum = np.searchsorted(norms, edges, side="right")
 
-    lo = t_lo + window[0] * (t_hi - t_lo)
-    hi = t_hi - window[1] * (t_hi - t_lo)
+    lo = t_lo + _FIT_TRIM * (t_hi - t_lo)
+    hi = t_hi - _FIT_TRIM * (t_hi - t_lo)
     mask = (edges >= lo) & (edges <= hi) & (cum > 0)
     if mask.sum() < 3:
         raise DegenerateFit("fewer than 3 usable bins in the fit window")
@@ -93,7 +92,7 @@ def estimate_delta(
     )
 
 
-def limit_cone_sample(ball, floor: float = 5.0, gap_tol: float = 1e-6) -> LimitConeSample:
+def limit_cone_sample(ball, floor: float = 5.0, gap_tol: float = DEFAULT_GAP_TOL) -> LimitConeSample:
     """Unit Cartan directions above the norm floor; Jordan directions tagged apart."""
     above = np.nonzero(ball.norms >= floor)[0]
     ldirs = []
@@ -130,17 +129,17 @@ def growth_indicator_estimate(ball, v: CartanVector, angles, bins: float = 0.5):
     return out
 
 
-def subadditivity_defect(elements, pair_budget: int = 2000, pairs=None, rng=None):
+def subadditivity_defect(elements, pair_budget: int = 2000, pairs=None):
     """Statistics of ||kappa(gh) - kappa(g) - kappa(h)|| over sampled pairs.
 
     Returns (max_defect, mean_defect, histogram) with histogram as np.histogram
-    output. Explicit pairs override sampling.
+    output. Pairs are drawn with seed 0; explicit pairs override sampling.
     """
     if pairs is None:
         elements = list(elements)
         if len(elements) < 2:
             raise SlnLabError("need at least two elements")
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         k = len(elements)
         idx = rng.integers(0, k, size=(min(pair_budget, k * k), 2))
         pairs = [(elements[i], elements[j]) for i, j in idx]
@@ -206,19 +205,16 @@ def check_extension_sum_growth(generators, words, delta: float):
     return worst >= 1.0, float(worst)
 
 
-def busemann_cartan_constant(words, anchor_flag, extra_flags=()):
+def busemann_cartan_constant(words, anchor_flag):
     """Max deviation of the cocycle from the Cartan projection over the words.
 
-    Measured against the anchor flag (and optionally a few translated flags);
-    this is the empirical constant whose tripling bounds subadditivity defects.
+    Measured against the anchor flag; this is the empirical constant whose
+    tripling bounds subadditivity defects.
     """
     from .lie import iwasawa_cocycle  # local import keeps module load light
 
     worst = 0.0
-    flags = [anchor_flag, *extra_flags]
     for w in words:
         kap = cartan_projection(w).coords
-        for f in flags:
-            b = iwasawa_cocycle(w, f)
-            worst = max(worst, float(np.linalg.norm(b - kap)))
+        worst = max(worst, float(np.linalg.norm(iwasawa_cocycle(w, anchor_flag) - kap)))
     return worst

@@ -26,6 +26,7 @@ from . import exact
 from .errors import SingularMatrix, SlnLabError
 
 DET_TOL = 1e-9
+DEFAULT_GAP_TOL = 1e-6  # consecutive eigenvalue-moduli gaps above it make an element loxodromic
 # float64 singular values below ~1e-10 * sigma_1 carry few trustworthy digits
 _RANGE_GUARD = 1e6 * np.finfo(float).eps
 
@@ -254,7 +255,7 @@ def symmetric_space_distance(g: GroupElement, h: GroupElement) -> float:
     return cartan_projection(g.inverse().matmul(h)).norm
 
 
-def is_loxodromic(g: GroupElement, gap_tol: float = 1e-6) -> bool:
+def is_loxodromic(g: GroupElement, gap_tol: float = DEFAULT_GAP_TOL) -> bool:
     """True iff all consecutive eigenvalue-moduli gaps exceed gap_tol."""
     return has_loxodromic_gaps(jordan_projection(g), gap_tol)
 

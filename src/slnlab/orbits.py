@@ -17,6 +17,7 @@ from .errors import BudgetExceeded, DedupUnavailable, SlnLabError
 from .flags import Flag, OppositeFlag, batch_projector_distance, transversality_margin
 from .lie import (
     _RANGE_GUARD,
+    DEFAULT_GAP_TOL,
     CartanVector,
     GroupElement,
     KAKDecomposition,
@@ -30,6 +31,8 @@ from .symshadow import shadows_certified_disjoint
 
 DEDUP_POLICIES = ("none", "float", "exact")
 MIN_RADIUS = 1
+_JORDAN_CAP = 500  # loxodromic rows whose Jordan directions the Zariski screen ranks
+_PAIR_CAP = 2000  # about the number of annulus pairs the cone-width constant compares
 
 
 @dataclass(frozen=True)
@@ -273,22 +276,19 @@ def filter_gamma_set(ball: OrbitBall, spec: FilterSpec) -> OrbitBall:
     return ball[idx[(dx < spec.epsilon) & (dy < spec.epsilon)]]
 
 
-def greedy_disjoint_pack(candidates: OrbitBall, R: float, forced=()) -> OrbitBall:
+def greedy_disjoint_pack(candidates: OrbitBall, R: float) -> OrbitBall:
     """Greedy maximal sub-ball with pairwise-disjoint symmetric-space shadows.
 
-    The forced rows of candidates come first. The others are visited by ascending
-    Cartan norm (ties by word); a candidate joins when its shadow is certifiably
-    disjoint from every selected one, by orbit-point separation (unknown counts as
-    overlapping).
+    Candidates are visited by ascending Cartan norm (ties by word); one joins when its
+    shadow is certifiably disjoint from every selected one, by orbit-point separation
+    (unknown counts as overlapping).
     """
     if R <= 0:
         raise SlnLabError("R must be positive")
     norms, words = candidates.norms, candidates.words
-    selected = [words.index(r.word) for r in forced]
+    selected = []
     elements = candidates.elements()
     for i in sorted(range(len(candidates)), key=lambda i: (norms[i], words[i])):
-        if i in selected:
-            continue
         if all(shadows_certified_disjoint(elements[i], elements[j], R) for j in selected):
             selected.append(i)
     return candidates[selected]
@@ -303,7 +303,7 @@ class ZariskiReport:
     verdict: str  # 'consistent with Zariski dense' | 'inconclusive'
 
 
-def zariski_heuristic(ball: OrbitBall, gap_tol: float = 1e-6, jordan_cap: int = 500) -> ZariskiReport:
+def zariski_heuristic(ball: OrbitBall, gap_tol: float = DEFAULT_GAP_TOL) -> ZariskiReport:
     """Necessary-condition screen for Zariski density; never claims a proof.
 
     Checks that the linear span of the orbit matrices is the full matrix algebra,
@@ -318,7 +318,7 @@ def zariski_heuristic(ball: OrbitBall, gap_tol: float = 1e-6, jordan_cap: int = 
     lox = 0
     lambdas = []
     for g in ball.elements():
-        if len(lambdas) >= jordan_cap:
+        if len(lambdas) >= _JORDAN_CAP:
             break
         lam = jordan_projection(g)
         if has_loxodromic_gaps(lam, gap_tol):
@@ -336,12 +336,12 @@ def zariski_heuristic(ball: OrbitBall, gap_tol: float = 1e-6, jordan_cap: int = 
     )
 
 
-def measure_cone_width_constant(ball: OrbitBall, n_min: float, width: float, pair_cap: int = 2000):
+def measure_cone_width_constant(ball: OrbitBall, n_min: float, width: float):
     """Empirical bound on ||kappa_1 - kappa_2|| / (n + w) over an annulus."""
     anns = ball.kappas[(ball.norms >= n_min) & (ball.norms < n_min + width)]
     if len(anns) < 2:
         return 0.0
-    anns = anns[: int(math.isqrt(2 * pair_cap)) + 2]
+    anns = anns[: int(math.isqrt(2 * _PAIR_CAP)) + 2]
     diffs = anns[:, None, :] - anns[None, :, :]
     return float(np.max(np.linalg.norm(diffs, axis=2)) / (n_min + width))
 

@@ -7,7 +7,7 @@ certified set whose selection sum reaches 1, the run ends in SearchExhausted rat
 than a weakened certificate.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 import csv
 import datetime
 import json
@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from .contraction import (
+    DEFAULT_BUDGET,
     MAX_EPSILON,
     MIN_BUDGET,
     MIN_CROSSCHECK_LEN,
@@ -40,7 +41,7 @@ from .growth import (
     limit_cone_sample,
     subadditivity_defect,
 )
-from .lie import GroupElement, is_loxodromic
+from .lie import DEFAULT_GAP_TOL, GroupElement, is_loxodromic
 from .orbits import (
     DEDUP_POLICIES,
     MIN_RADIUS,
@@ -63,23 +64,22 @@ class PipelineConfig:
     n: int
     target_delta: float
     epsilon: float
-    radius: int
+    radius: int = 8
     cone: object = "auto"        # Cone | "auto"
     anchor_x: object = "auto"    # Flag | "auto"
     anchor_y: object = "auto"    # OppositeFlag | "auto"
     n_min: object = "auto"       # float | "auto"
     width: float = 2.0
-    sample_budget: int = 4000
+    sample_budget: int = DEFAULT_BUDGET
     node_budget: int = 10**7
     seed: int = 0
     output_dir: str = "out"
     shadow_radius: float = 1.0
-    gap_tol: float = 1e-6
+    gap_tol: float = DEFAULT_GAP_TOL
     include_inverses: bool = True
     dedup: str = "float"
     retries: int = 5
     exact_check: int | None = None
-    pinned_words: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.radius < MIN_RADIUS:
@@ -108,44 +108,24 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config a JSON object describes; a key it leaves out takes the field's default.
+
+        The keys are the field names, except that sample_budget and node_budget are
+        budgets.samples and budgets.nodes. Any other key is a ConfigError.
+        """
+        if not isinstance(d, dict) or not isinstance(d.get("budgets", {}), dict):
+            raise ConfigError("bad pipeline config: the config and its budgets must be JSON objects")
+        items = [(k, v) for k, v in d.items() if k != "budgets"]
+        items += [(f"budgets.{k}", v) for k, v in d.get("budgets", {}).items()]
+        field_of = {_BUDGET_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        for key, _ in items:
+            if key not in field_of:
+                raise ConfigError(f"bad pipeline config: {key}: not a config key")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise ConfigError(f"bad pipeline config: {f.name}: missing")
         try:
-            budgets = d.get("budgets", {})
-            cone = d.get("cone", "auto")
-            if isinstance(cone, dict):
-                cone = Cone(
-                    axis=_unit_chamber_vector(cone["axis"]),
-                    half_angle=_number(float, "cone.half_angle", cone["half_angle"]),
-                )
-            ax = d.get("anchor_x", "auto")
-            ay = d.get("anchor_y", "auto")
-            if isinstance(ax, dict):
-                ax = flag_from_json({**ax, "kind": "flag"})
-            if isinstance(ay, dict):
-                ay = flag_from_json({**ay, "kind": "opposite"})
-            n_min = d.get("n_min", "auto")
-            kwargs = dict(
-                generators_path=d["generators_path"],
-                n=_number(int, "n", d["n"]),
-                target_delta=_number(float, "target_delta", d["target_delta"]),
-                epsilon=_number(float, "epsilon", d["epsilon"]),
-                radius=_number(int, "radius", d.get("radius", budgets.get("radius", 8))),
-                cone=cone,
-                anchor_x=ax,
-                anchor_y=ay,
-                n_min=n_min if n_min == "auto" else _number(float, "n_min", n_min),
-                width=_number(float, "width", d.get("width", 2.0)),
-                sample_budget=_number(int, "budgets.samples", budgets.get("samples", 4000)),
-                node_budget=_number(int, "budgets.nodes", budgets.get("nodes", 10**7)),
-                seed=_number(int, "seed", d.get("seed", 0)),
-                output_dir=d.get("output_dir", "out"),
-                shadow_radius=_number(float, "shadow_radius", d.get("shadow_radius", 1.0)),
-                gap_tol=_number(float, "gap_tol", d.get("gap_tol", 1e-6)),
-                include_inverses=d.get("include_inverses", True),
-                dedup=d.get("dedup", "float"),
-                retries=_number(int, "retries", d.get("retries", 5)),
-                exact_check=d.get("exact_check"),
-                pinned_words=[tuple(w) for w in d.get("pinned_words", [])],
-            )
+            kwargs = {field_of[key].name: _field_value(key, field_of[key].type, value) for key, value in items}
         # SlnLabError: a cone or anchor frame that Cone, CartanVector or Flag rejects
         except (KeyError, TypeError, ValueError, SlnLabError) as e:
             raise ConfigError(f"bad pipeline config: {e}") from e
@@ -158,6 +138,24 @@ class PipelineConfig:
                 return cls.from_dict(json.load(fh))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+
+
+# field -> config key, where they differ
+_BUDGET_KEYS = {"sample_budget": "budgets.samples", "node_budget": "budgets.nodes"}
+
+
+def _field_value(key, kind, value):
+    """The value of a field of type kind from its config key's JSON value."""
+    if key == "n_min" and value != "auto":
+        kind = float
+    if kind in (int, float):
+        return _number(kind, key, value)
+    if key == "cone" and isinstance(value, dict):
+        axis = _unit_chamber_vector(value["axis"])
+        return Cone(axis=axis, half_angle=_number(float, "cone.half_angle", value["half_angle"]))
+    if key in ("anchor_x", "anchor_y") and isinstance(value, dict):
+        return flag_from_json({**value, "kind": "flag" if key == "anchor_x" else "opposite"})
+    return value
 
 
 def _number(kind, key, value):
@@ -309,7 +307,7 @@ def cmd_analyze(config: PipelineConfig):
     return report
 
 
-def _pack_and_certify(candidates, config, pinned_words, checked):
+def _pack_and_certify(candidates, config, checked):
     """One round's outcome on a candidate set: (packed, round fields, certificate).
 
     The certificate is the passing FreenessCertificate, or None when the round
@@ -317,8 +315,7 @@ def _pack_and_certify(candidates, config, pinned_words, checked):
     checked maps each word checked so far to its contraction certificate or its
     NotLoxodromic, and gains the words this round checks.
     """
-    pinned = candidates[[w in pinned_words for w in candidates.words]]
-    packed = greedy_disjoint_pack(candidates, config.shadow_radius, forced=pinned[:2])
+    packed = greedy_disjoint_pack(candidates, config.shadow_radius)
     fields = {"packed": len(packed)}
     if len(packed) < 2:
         fields["failure"] = "fewer than 2 packed candidates"
@@ -381,7 +378,6 @@ def cmd_build_semigroup(config: PipelineConfig):
         raise (SearchExhausted if auto_anchors else ConfigError)(str(e)) from e
     rounds = []
     chosen = None
-    pinned_words = set(map(tuple, config.pinned_words))
 
     # Both checks are deterministic in their inputs, so each runs once per call:
     # one contraction check per packed word and one round outcome per candidate set.
@@ -394,7 +390,7 @@ def cmd_build_semigroup(config: PipelineConfig):
         candidates = kept[[is_loxodromic(g, config.gap_tol) for g in kept.elements()]]
         key = tuple(candidates.words)
         if key not in outcomes:
-            outcomes[key] = _pack_and_certify(candidates, config, pinned_words, checked)
+            outcomes[key] = _pack_and_certify(candidates, config, checked)
         packed, fields, cert = outcomes[key]
         round_info.update(candidates=len(candidates), **fields)
         rounds.append(round_info)
@@ -474,7 +470,7 @@ def cmd_build_semigroup(config: PipelineConfig):
     return cert, report
 
 
-def cmd_certify(generators, epsilon, budget=4000, gap_tol=1e-6, seed=0, exact_check=None):
+def cmd_certify(generators, epsilon, budget=DEFAULT_BUDGET, gap_tol=DEFAULT_GAP_TOL, seed=0, exact_check=None):
     """Freeness certificate for an explicit generator list; no search involved."""
     _check_scales(epsilon, gap_tol)
     _check_crosscheck(generators, exact_check)

@@ -12,7 +12,10 @@ import numpy as np
 from .errors import InsufficientBudget
 from .flags import batch_orthonormalize, batch_transversality_margin
 
-_MAX_BATCHES = 400
+_MAX_BATCHES = 400  # rejection batches before a region counts as too thin
+_BAND_FACTOR = 1.1  # the weak band's upper margin, in multiples of eps
+_PARTNER_SCALE = 1e-4  # the first perturbation step of a Lipschitz partner
+_PARTNER_TRIES = 8  # halvings of that step before a partner is given up
 
 
 def element_seed(g, global_seed=0):
@@ -32,7 +35,7 @@ def haar_frames(rng, n, count):
     return batch_orthonormalize(rng.standard_normal((count, n, n)))
 
 
-def sample_flags_outside(rng, y, eps, count, max_batches=_MAX_BATCHES):
+def sample_flags_outside(rng, y, eps, count):
     """Haar flag frames with transversality margin >= eps against y.
 
     Rejection sampling; raises InsufficientBudget when the region is too thin
@@ -41,7 +44,7 @@ def sample_flags_outside(rng, y, eps, count, max_batches=_MAX_BATCHES):
     n = y.n
     kept = []
     have = 0
-    for _ in range(max_batches):
+    for _ in range(_MAX_BATCHES):
         batch = haar_frames(rng, n, max(count, 64))
         margins = batch_transversality_margin(batch, y.frame)
         good = batch[margins >= eps]
@@ -51,12 +54,12 @@ def sample_flags_outside(rng, y, eps, count, max_batches=_MAX_BATCHES):
         if have >= count:
             return np.concatenate(kept, axis=0)[:count]
     raise InsufficientBudget(
-        f"could not draw {count} flags with margin >= {eps} in {max_batches} batches"
+        f"could not draw {count} flags with margin >= {eps} in {_MAX_BATCHES} batches"
     )
 
 
-def band_flags_near(rng, y, eps, count, hi_factor=1.1, max_batches=_MAX_BATCHES):
-    """Flags with margin in the weak-contraction band [eps, hi_factor*eps].
+def band_flags_near(rng, y, eps, count):
+    """Flags with margin in the weak-contraction band [eps, _BAND_FACTOR * eps].
 
     Each sample starts from an admissible Haar flag and bisects along the chord
     toward y viewed as a flag (margin 0 there), landing inside the band. The
@@ -64,8 +67,8 @@ def band_flags_near(rng, y, eps, count, hi_factor=1.1, max_batches=_MAX_BATCHES)
     """
     # y's own filtration read as a flag: first columns = reversed trailing columns
     target = y.frame[:, ::-1][None]
-    starts = sample_flags_outside(rng, y, eps * hi_factor, count, max_batches)
-    lo_m, hi_m = eps, eps * hi_factor
+    starts = sample_flags_outside(rng, y, eps * _BAND_FACTOR, count)
+    lo_m, hi_m = eps, eps * _BAND_FACTOR
     t_lo = np.zeros(count)
     t_hi = np.ones(count)
     out = starts.copy()
@@ -94,13 +97,13 @@ def band_flags_near(rng, y, eps, count, hi_factor=1.1, max_batches=_MAX_BATCHES)
     return out
 
 
-def perturbed_partners(rng, frames, y, eps, scale=1e-4, tries=8):
+def perturbed_partners(rng, frames, y, eps):
     """Nearby admissible partner frames for Lipschitz-ratio estimation."""
     n = frames.shape[1]
     partners = np.empty_like(frames)
     todo = np.arange(frames.shape[0])
-    step = scale
-    for _ in range(tries):
+    step = _PARTNER_SCALE
+    for _ in range(_PARTNER_TRIES):
         noise = rng.standard_normal((todo.size, n, n)) * step
         cand = batch_orthonormalize(frames[todo] + noise)
         margins = batch_transversality_margin(cand, y.frame)

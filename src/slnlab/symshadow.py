@@ -22,7 +22,7 @@ arithmetic after it), a step for one argsort.
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 import math
-from operator import add
+from operator import add, gt
 
 import numpy as np
 # only the benchmark tracer reads this (ROADMAP item 1(d)); it loads neither linalg nor optimize
@@ -35,6 +35,9 @@ from .sampling import haar_frames
 from .flags import Flag, batch_orthonormalize
 
 _BIG = 1e18
+# the grid's chamber rays and radii per ray, the refinement's iteration cap, ray_distance_bound's slack
+_RAYS, _RADII, _REFINE_ITERS, _RAY_TOL = 9, 20, 200, 1e-7
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def project_chamber(v):
@@ -96,7 +99,7 @@ class MembershipResult:
 
 
 @cache
-def _chamber_rays(n, count):
+def _chamber_rays(n):
     """Deterministic spread of unit directions inside the positive chamber; read-only."""
     # extreme rays of the chamber: partial-sum coweight directions
     extremes = []
@@ -106,7 +109,7 @@ def _chamber_rays(n, count):
         extremes.append(v / np.linalg.norm(v))
     rays = []
     rng = np.random.default_rng(12345)
-    while len(rays) < count:
+    while len(rays) < _RAYS:
         w = rng.dirichlet(np.ones(len(extremes)))
         v = sum(wi * e for wi, e in zip(w, extremes))
         v = project_chamber(v)
@@ -121,9 +124,16 @@ def _chamber_rays(n, count):
 def _objective_factory(kframe, target_entries):
     core = kframe.T @ target_entries
     n = len(core)
+    # past its cap, a coordinate of -h makes its row of exp(-h) * core overflow; the
+    # margin covers the rounding of exp, the product and the logs
+    caps = [_LOG_MAX + 1e-9 - math.log(max(1.0, *map(abs, row))) for row in core.tolist()]
+    lowest_cap = min(caps)
 
     def objective(h_raw):
-        svals = np.linalg.svd(np.exp(_negated_projection(h_raw))[:, None] * core, compute_uv=False)
+        neg_h = _negated_projection(h_raw)
+        if max(neg_h) > lowest_cap and any(map(gt, neg_h, caps)):
+            return _BIG
+        svals = np.linalg.svd(np.exp(neg_h)[:, None] * core, compute_uv=False)
         s = svals.tolist()
         if not (s[-1] > 0 and all(map(math.isfinite, s))):
             return _BIG
@@ -216,13 +226,7 @@ def nelder_mead(objective, x0, maxiter, xatol, fatol) -> NelderMeadResult:
     return NelderMeadResult(np.array(sim[0]), float(np.min(fsim)), nfev)
 
 
-def sym_shadow_membership(
-    query: SymShadowQuery,
-    f: Flag,
-    rays: int = 9,
-    radii: int = 20,
-    refine_iters: int = 200,
-) -> MembershipResult:
+def sym_shadow_membership(query: SymShadowQuery, f: Flag) -> MembershipResult:
     """Decide whether the flag lies in the shadow, minimizing the ray-to-ball distance.
 
     A general base is reduced by translation to a shadow viewed from the origin.
@@ -240,21 +244,21 @@ def sym_shadow_membership(
         return MembershipResult(True, best, CartanVector(best_h))
 
     # the origin, then each ray at each radius; PAV merges no block of these seeds
-    ts = np.linspace(0.0, 1.5 * scale, radii)
-    H = np.concatenate([np.zeros((1, n)), (_chamber_rays(n, rays)[:, None, :] * ts[:, None]).reshape(-1, n)])
+    ts = np.linspace(0.0, 1.5 * scale, _RADII)
+    H = np.concatenate([np.zeros((1, n)), (_chamber_rays(n)[:, None, :] * ts[:, None]).reshape(-1, n)])
     H = H - (H.sum(axis=1) / n)[:, None]
     vals = grid(H)
     i = int(np.argmin(vals))
     if vals[i] < best:
         best, best_h = float(vals[i]), H[i]
 
-    res = nelder_mead(objective, best_h, refine_iters, xatol=1e-8, fatol=1e-10)
+    res = nelder_mead(objective, best_h, _REFINE_ITERS, xatol=1e-8, fatol=1e-10)
     if res.fun < best:
         best, best_h = float(res.fun), project_chamber(res.x)
     return MembershipResult(bool(best <= query.R), best, CartanVector(best_h))
 
 
-def ray_distance_bound(f: Flag, gamma: GroupElement, R: float, tol: float = 1e-7):
+def ray_distance_bound(f: Flag, gamma: GroupElement, R: float):
     """For a member flag, the chamber point at the target's Cartan vector stays 2R-close.
 
     Returns (lhs, bound, holds); raises MembershipUnverified when the flag cannot
@@ -268,7 +272,7 @@ def ray_distance_bound(f: Flag, gamma: GroupElement, R: float, tol: float = 1e-7
     svals = np.linalg.svd(m, compute_uv=False)
     logs = np.log(svals)
     lhs = float(np.linalg.norm(logs - logs.mean()))
-    return lhs, 2 * R, lhs <= 2 * R + tol
+    return lhs, 2 * R, lhs <= 2 * R + _RAY_TOL
 
 
 def overlap_distance_bound(

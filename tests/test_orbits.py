@@ -188,11 +188,6 @@ class TestGreedyPack:
             for b in packed[i + 1 :]:
                 assert shadows_certified_disjoint(a.element, b.element, 1.0)
 
-    def test_forced_include_seeds(self, schottky_ball):
-        seed_rec = max(schottky_ball, key=lambda r: r.kappa.norm)
-        packed = greedy_disjoint_pack(schottky_ball, R=1.0, forced=[seed_rec])
-        assert packed[0].word == seed_rec.word
-
     def test_probe_reverification(self, strong_rational_pair):
         # no Haar probe may fall into two packed shadows
         from slnlab import GroupElement, SymShadowQuery, sym_shadow_membership
@@ -362,12 +357,10 @@ class TestBallColumns:
                           x=x, y=y, n_min=0.0, epsilon=0.07)
         kept = filter_gamma_set(ball, spec)
         packed = greedy_disjoint_pack(kept, R=0.05)
-        forced = greedy_disjoint_pack(kept, R=0.05, forced=kept[[-1]])
         assert len(packed) >= 2
-        assert forced.words[0] == kept.words[-1]
         row_of = {w: i for i, w in enumerate(ball.words)}
         kept_rows = [row_of[w] for w in kept.words]
         assert kept_rows == sorted(kept_rows)
-        for sub in (kept, packed, forced):
+        for sub in (kept, packed):
             for r, i in zip(sub, [row_of[w] for w in sub.words]):
                 _assert_rows_equal(r, ball[i])

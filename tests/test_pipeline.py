@@ -25,6 +25,9 @@ STRONG_RATIONAL = {"n": 2, "generators": [
 ]}
 
 
+# the keys a pipeline config must give
+REQUIRED = {"generators_path": "gens.json", "n": 2, "target_delta": 0.05, "epsilon": 0.05}
+
 FLOAT_SANOV = [g["matrix"] for g in SANOV["generators"]]
 FLOAT_STRONG = [g["matrix"] for g in STRONG_RATIONAL["generators"]]
 MIXED_SIZES = [[[1, 2], [0, 1]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]]]
@@ -79,9 +82,17 @@ CONFIG_FAULTS = {
     "retries negative, build": (SANOV, {"retries": -1}, "build-semigroup"),
     "target_delta 0, build": (SANOV, {"target_delta": 0}, "build-semigroup"),
     "target_delta negative, build": (SANOV, {"target_delta": -0.05}, "build-semigroup"),
+    "retries misspelled, build": (SANOV, {"retires": 0}, "build-semigroup"),
+    "budgets.samples misspelled, analyze": (SANOV, {"budgets": {"sample": 10}}, "analyze"),
+    "budgets.samples misspelled, certify": (STRONG_RATIONAL, {"epsilon": 0.1, "budgets": {"sample": 10}}, "certify"),
+    "pinned_words, build": (SANOV, {"pinned_words": [[1, 2]]}, "build-semigroup"),
+    "budgets.radius, analyze": (SANOV, {"budgets": {"radius": 3}}, "analyze"),
+    "sample_budget outside budgets, certify": (STRONG_RATIONAL, {"epsilon": 0.1, "sample_budget": 1200}, "certify"),
+    "budgets a list, analyze": (SANOV, {"budgets": [1200]}, "analyze"),
 }
 
-# (config overrides, the key the error must name): values no number conversion accepts
+# (config overrides, the key the error must name): values no number conversion accepts,
+# and keys that name no field
 FIELD_FAULTS = {
     "n null": ({"n": None}, "n"),
     "target_delta a string": ({"target_delta": "small"}, "target_delta"),
@@ -97,6 +108,11 @@ FIELD_FAULTS = {
     "shadow_radius a string": ({"shadow_radius": "one"}, "shadow_radius"),
     "gap_tol null": ({"gap_tol": None}, "gap_tol"),
     "retries a string": ({"retries": "five"}, "retries"),
+    "retries misspelled": ({"retires": 0}, "retires"),
+    "budgets.samples misspelled": ({"budgets": {"sample": 10, "radius": 3}}, "budgets.sample"),
+    "pinned_words": ({"pinned_words": [[1, 2]]}, "pinned_words"),
+    "budgets.radius": ({"budgets": {"radius": 3}}, "budgets.radius"),
+    "sample_budget outside budgets": ({"sample_budget": 1200}, "sample_budget"),
 }
 
 
@@ -328,5 +344,15 @@ class TestConfigValidation:
 
     def test_missing_required_field(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"n": 2})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="generators_path: missing"):
             PipelineConfig.from_json_file(path)
+
+    def test_config_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="must be JSON objects"):
+            PipelineConfig.from_dict([REQUIRED])
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = PipelineConfig.from_dict(REQUIRED)
+        # dataclass equality compares field for field
+        assert cfg == PipelineConfig(**REQUIRED)
+        assert cfg.radius == 8

@@ -1,6 +1,7 @@
 import inspect
 import math
 import sys
+import warnings
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -42,7 +43,7 @@ SL3_POWER = GroupElement.from_exact(
 )
 
 
-def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
+def scan_membership(query, f):
     """(branch, result) of the seed-by-seed grid scan that the stacked grid replaced,
     with the objective written by mean and norm.
 
@@ -68,8 +69,8 @@ def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
     if best <= query.R:
         return "kappa", MembershipResult(True, best, CartanVector(best_h))
     seeds = [np.zeros(n)]
-    for ray in symshadow._chamber_rays(n, rays):
-        for t in np.linspace(0.0, 1.5 * scale, radii):
+    for ray in symshadow._chamber_rays(n):
+        for t in np.linspace(0.0, 1.5 * scale, 20):
             seeds.append(t * ray)
     for h in seeds:
         val = objective(h)
@@ -78,7 +79,7 @@ def scan_membership(query, f, rays=9, radii=20, refine_iters=200):
     branch = "near" if best <= query.R else "refine"
     res = scipy.optimize.minimize(
         objective, best_h, method="Nelder-Mead",
-        options={"maxiter": refine_iters, "xatol": 1e-8, "fatol": 1e-10},
+        options={"maxiter": 200, "xatol": 1e-8, "fatol": 1e-10},
     )
     if res.fun < best:
         best, best_h = float(res.fun), project_chamber(res.x)
@@ -110,25 +111,17 @@ def plateau(x):
     return math.floor(4 * np.abs(x - 0.3).sum()) / 4
 
 
-def quiet_overflow(objective):
-    def quiet(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return objective(x)
-
-    return quiet
-
-
 def nelder_mead_cases(name):
     """(objective, x0, maxiter) triples of one named kind."""
     if name == "overflow":
         # far out along a chamber ray vertices tie at _BIG: their smallest singular value
-        # rounds to 0, or the SVD of exp's huge (past 709, infinite) entries gives NaN
+        # rounds to 0, or a row of exp(-h) * core would overflow (past 709)
         cases = []
         for n in (3, 4):
-            ray = symshadow._chamber_rays(n, 9)[0]
+            ray = symshadow._chamber_rays(n)[0]
             for query, f in membership_cases(n, 2, seed=80 + n):
                 frame = batch_orthonormalize(query.base_inv.entries @ f.frame)
-                objective = quiet_overflow(symshadow._objective_factory(frame, query.translated.entries)[0])
+                objective = symshadow._objective_factory(frame, query.translated.entries)[0]
                 cases += [(objective, t / -ray[-1] * ray, 200) for t in (200.0, 705.0, 2000.0)]
         return cases
     if name.startswith("membership"):
@@ -207,10 +200,14 @@ class TestNelderMead:
                 seen |= executed_lines(symshadow.nelder_mead, objective, x0, maxiter, 1e-8, 1e-10)
         assert {step for step, line in step_lines.items() if line not in seen} == set()
 
-    def test_overflow_vertices_tie_at_big(self):
+    def test_overflow_vertices_tie_at_big(self, capfd):
+        # and silently: evaluated, an overflowing row makes exp warn and LAPACK print to stdout
         for objective, x0, maxiter in nelder_mead_cases("overflow"):
-            first = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 1})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                first = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={"maxiter": 1})
             assert list(first.final_simplex[1]).count(symshadow._BIG) >= 2
+        assert capfd.readouterr() == ("", "")
 
     def test_membership_refines_through_the_module_name(self, monkeypatch):
         # the benchmark tracer wraps symshadow.nelder_mead by name and reads .nfev
